@@ -12,6 +12,7 @@ import pytest
 
 from repro.bench.report import format_fanout
 from repro.core import DEFAULT_PARAMS, build_arkfs
+from repro.obs import Observability
 from repro.objectstore.profiles import MiB, S3_PROFILE
 from repro.sim import Simulator
 from repro.workloads import fio_seq
@@ -51,8 +52,8 @@ def test_fetch_fanout_speedup(bench_once):
     print(f"  speedup          : {speedup:.2f}x")
     client = cluster.client(0)
     print(format_fanout("fan-out counters (default run):",
-                        client.cache.stats, client.journal.fanout))
-    assert client.cache.stats["batched_gets"] > 0
+                        Observability.of(client.cache.sim).metrics))
+    assert client.cache.metrics.counter("batched_gets").value > 0
     assert speedup >= 2.0
 
 

@@ -120,7 +120,7 @@ def format_fanout(title: str, cache_stats,
                   journal_fanout: Optional[Mapping[str, int]] = None) -> str:
     """Summarize how parallel the scatter-gather I/O paths actually ran.
 
-    Takes ``DataObjectCache.stats`` and (optionally)
+    Takes a flat dict of cache counters and (optionally)
     ``JournalManager.fanout`` — or a whole :class:`MetricsRegistry`, whose
     per-client cache/journal metrics are then aggregated — and renders
     batched-vs-serial op counts plus batch-size / in-flight high-water

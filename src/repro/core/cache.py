@@ -31,19 +31,30 @@ __all__ = ["CacheEntry", "ReadAheadState", "DataObjectCache"]
 class CacheEntry:
     """One cached data object (at most ``entry_size`` bytes).
 
-    ``data`` is a capacity buffer and ``size`` the count of valid bytes in
-    it: growing a multi-megabyte bytearray 128 KiB at a time forces a
-    realloc+copy on nearly every extension once many entries are live
-    (in-place realloc almost never succeeds with interleaved writers), so
-    the buffer instead grows geometrically and writes land as equal-length
-    slice assignments. Bytes past ``size`` are never observable — reads and
-    writebacks clip at ``size`` and extension gaps are re-zeroed."""
+    ``data`` is one of two things, and ``size`` the count of valid bytes:
+
+    - an immutable ``bytes`` object: the one the object store returned on
+      a fetch or holds after a writeback, or ``b""`` for a blank entry
+      (``size == len(data)``). Cache and store share this one copy, and a
+      ``read`` covering the whole entry returns it as-is;
+    - a private ``bytearray`` the cache owns. ``write`` copies a shared
+      entry into one before its first mutation (copy-on-write), so the
+      store's object and any earlier ``read`` result never change.
+
+    A private buffer is a capacity buffer: growing a multi-megabyte
+    bytearray 128 KiB at a time forces a realloc+copy on nearly every
+    extension once many entries are live (in-place realloc almost never
+    succeeds with interleaved writers), so the buffer instead grows
+    geometrically and writes land as equal-length slice assignments. Bytes
+    past ``size`` are never observable — reads and writebacks clip at
+    ``size`` and extension gaps are re-zeroed. A writeback swaps the buffer
+    for its snapshot, the bytes it hands the store, freeing the capacity."""
 
     __slots__ = ("index", "data", "size", "dirty", "loading", "backed")
 
     def __init__(self, index: int):
         self.index = index
-        self.data = bytearray()
+        self.data = b""
         self.size = 0
         self.dirty = False
         self.loading: Optional[Event] = None  # set while a fetch is in flight
@@ -125,6 +136,7 @@ class DataObjectCache:
         obs = Observability.of(sim)
         label = node.name if node is not None else f"anon{id(self):x}"
         m = obs.metrics.scope(label + ".cache")
+        self.metrics = m  # this cache's view of the registry
         self._c_hits = m.counter("hits")
         self._c_misses = m.counter("misses")
         self._c_prefetches = m.counter("prefetches")
@@ -142,31 +154,6 @@ class DataObjectCache:
         self._g_wb_batch = m.gauge("wb_batch")
         self._g_inflight_gets = m.gauge("inflight_gets")
         self._g_inflight_puts = m.gauge("inflight_puts")
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        """Legacy snapshot of this cache's counters (deprecated shim).
-
-        Previously a live dict mutated in place; the keys and meanings are
-        unchanged, but the returned dict is now a point-in-time copy backed
-        by the metrics registry."""
-        return {
-            "hits": self._c_hits.value,
-            "misses": self._c_misses.value,
-            "prefetches": self._c_prefetches.value,
-            "flushes": self._c_flushes.value,
-            "evictions": self._c_evictions.value,
-            "batched_gets": self._c_batched_gets.value,
-            "serial_gets": self._c_serial_gets.value,
-            "batched_puts": self._c_batched_puts.value,
-            "serial_puts": self._c_serial_puts.value,
-            "fetch_batches": self._c_fetch_batches.value,
-            "wb_batches": self._c_wb_batches.value,
-            "max_fetch_batch": self._g_fetch_batch.max_value,
-            "max_wb_batch": self._g_wb_batch.max_value,
-            "max_inflight_gets": self._g_inflight_gets.max_value,
-            "max_inflight_puts": self._g_inflight_puts.max_value,
-        }
 
     # -- internals -------------------------------------------------------------
 
@@ -238,6 +225,10 @@ class DataObjectCache:
         # the entry rather than getting silently marked clean.
         entry.dirty = False
         snapshot = bytes(memoryview(entry.data)[:entry.size])
+        # The entry holds the snapshot from here on, which frees the private
+        # buffer; after the PUT the store holds the same object. A write
+        # landing mid-flush copies it first, so the PUT's bytes never move.
+        entry.data = snapshot
         if self._pack is not None and self._pack.wants(len(snapshot)):
             # Sub-threshold chunk: append into the open container buffer
             # (a memcpy) instead of an individual PUT; durability comes
@@ -335,7 +326,10 @@ class DataObjectCache:
         finally:
             sp.close()
             self._g_inflight_gets.add(-1)
-        entry.data = bytearray(data)
+        # Shared with the store as-is (``write`` copies on write). Anything
+        # but ``bytes`` is frozen first: the cache must never own, and so
+        # never mutate, a buffer the store can still hand out.
+        entry.data = data if type(data) is bytes else bytes(data)
         entry.size = len(data)
         entry.backed = backed
         ev, entry.loading = entry.loading, None
@@ -439,7 +433,7 @@ class DataObjectCache:
             pieces = self.prt.chunk_range(offset, length)
             fetched = yield from self._fetch_missing(
                 ino, [p[0] for p in pieces])
-            out = bytearray()
+            parts = []
             fc = self._file(ino)
             for idx, off, n in pieces:
                 entry = fc.tree.get(idx)
@@ -457,17 +451,20 @@ class DataObjectCache:
                 elif idx not in fetched:
                     self._c_hits.inc()
                 self._touch(ino, entry)
-                avail = entry.size - off
-                if avail >= n:
-                    out += memoryview(entry.data)[off : off + n]
-                else:
-                    if avail > 0:
-                        out += memoryview(entry.data)[off : off + avail]
-                    out += b"\x00" * (n - max(avail, 0))
+                d = entry.data
+                end = min(entry.size, off + n)
+                if end > off:
+                    # Slicing shared bytes copies once, or not at all when
+                    # the piece is the whole entry. A private buffer may be
+                    # rewritten while a later piece waits: copy it out now.
+                    parts.append(d[off:end] if type(d) is bytes
+                                 else bytes(memoryview(d)[off:end]))
+                if end < off + n:
+                    parts.append(bytes(off + n - max(end, off)))
             yield from self._copy_cost(length)
         finally:
             sp.close()
-        return bytes(out)
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
     def _prefetch_one(self, ino: int, index: int) -> SimGen:
         try:
@@ -501,6 +498,10 @@ class DataObjectCache:
                     fetch=not covers_existing and entry_base < old_size
                 )
                 d = entry.data
+                if type(d) is bytes:
+                    # Copy-on-write: the store and earlier readers keep
+                    # the shared bytes; the cache mutates only its own.
+                    d = entry.data = bytearray(d)
                 end = off + n
                 if len(d) < end:
                     # Grow capacity geometrically (clipped to the entry's

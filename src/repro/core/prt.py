@@ -248,7 +248,7 @@ class PRT:
         if self.pack_enabled:
             extents = yield from self.read_extent_index(ino, src=src)
         sp = _span(self.sim, "prt.read_data", "prt")
-        out = bytearray()
+        parts = []
         try:
             for idx, off, n in self.chunk_range(offset, length):
                 ext = extents.get(idx)
@@ -261,12 +261,12 @@ class PRT:
                             self.key_data(ino, idx), off, n, src=src)
                 except NoSuchKey:
                     piece = b""
+                parts.append(piece)
                 if len(piece) < n:
-                    piece = piece + b"\x00" * (n - len(piece))
-                out += piece
+                    parts.append(bytes(n - len(piece)))
         finally:
             sp.close()
-        return bytes(out)
+        return b"".join(parts)
 
     def write_data(self, ino: int, offset: int, data: bytes,
                    src: Optional[Node] = None) -> SimGen:

@@ -188,7 +188,9 @@ class VFSClient(ABC):
         try:
             view = memoryview(data)
             for off in range(0, len(data), chunk):
-                yield from self.write(h, bytes(view[off : off + chunk]))
+                # A file that fits in one chunk is passed through uncopied.
+                yield from self.write(h, data if len(data) <= chunk
+                                      else bytes(view[off : off + chunk]))
             if do_fsync:
                 yield from self.fsync(h)
         finally:

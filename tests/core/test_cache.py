@@ -42,7 +42,7 @@ class TestWriteBack:
         sim, store, prt, cache = env
         run(sim, cache.write(1, 0, b"abcdef", old_size=0))
         assert run(sim, cache.read(1, 2, 3)) == b"cde"
-        assert cache.stats["hits"] >= 1
+        assert cache.metrics.counter("hits").value >= 1
 
     def test_partial_write_fetches_existing(self, env):
         sim, store, prt, cache = env
@@ -80,7 +80,7 @@ class TestReadPath:
         sim, store, prt, cache = env
         store.sync_put(prt.key_data(1, 0), b"stored!")
         assert run(sim, cache.read(1, 0, 7)) == b"stored!"
-        assert cache.stats["misses"] == 1
+        assert cache.metrics.counter("misses").value == 1
 
     def test_hole_reads_zeros(self, env):
         sim, store, prt, cache = env
@@ -91,6 +91,82 @@ class TestReadPath:
     def test_zero_length_read(self, env):
         sim, store, prt, cache = env
         assert run(sim, cache.read(1, 0, 0)) == b""
+
+
+class SlowPutStore(InMemoryObjectStore):
+    """Every PUT takes one simulated second, so a test can act mid-flush."""
+
+    def put(self, key, data, src=None):
+        yield self.sim.timeout(1.0)
+        yield from super().put(key, data, src=src)
+
+
+def _entry(cache, ino, idx):
+    return cache._file(ino).tree.get(idx)
+
+
+class TestCopyOnWrite:
+    def test_fetch_shares_the_stored_object(self, env):
+        sim, store, prt, cache = env
+        store.sync_put(prt.key_data(1, 0), b"A" * ESZ)
+        stored = store.sync_get(prt.key_data(1, 0))
+        out = run(sim, cache.read(1, 0, ESZ))
+        assert _entry(cache, 1, 0).data is stored
+        assert out is stored  # a whole-entry read is not copied
+
+    def test_writeback_shares_the_stored_object(self, env):
+        sim, store, prt, cache = env
+        run(sim, cache.write(1, 0, b"dirty data", old_size=0))
+        assert isinstance(_entry(cache, 1, 0).data, bytearray)
+        run(sim, cache.flush(1))
+        assert _entry(cache, 1, 0).data is store.sync_get(prt.key_data(1, 0))
+
+    def test_write_leaves_store_and_earlier_reads_unchanged(self, env):
+        sim, store, prt, cache = env
+        store.sync_put(prt.key_data(1, 0), b"A" * ESZ)
+        stored = store.sync_get(prt.key_data(1, 0))
+        whole = run(sim, cache.read(1, 0, ESZ))
+        part = run(sim, cache.read(1, 8, 4))
+        run(sim, cache.write(1, 8, b"BBBB", old_size=ESZ))
+        assert stored == b"A" * ESZ
+        assert store.sync_get(prt.key_data(1, 0)) is stored
+        assert whole == b"A" * ESZ and part == b"AAAA"
+        private = run(sim, cache.read(1, 6, 8))
+        assert private == b"AABBBBAA"
+        run(sim, cache.write(1, 6, b"CCCCCCCC", old_size=ESZ))
+        assert private == b"AABBBBAA"
+
+    def test_write_during_writeback_keeps_entry_dirty(self):
+        sim = Simulator()
+        store = SlowPutStore(sim)
+        prt = PRT(store, data_object_size=ESZ)
+        cache = DataObjectCache(sim, prt, node=None, entry_size=ESZ,
+                                capacity_bytes=8 * ESZ,
+                                max_readahead=4 * ESZ)
+        key = prt.key_data(1, 0)
+        run(sim, cache.write(1, 0, b"old data", old_size=0))
+        sim.process(cache.flush(1))
+        sim.run(until=0.5)
+        assert key not in store  # the PUT is in flight
+        run(sim, cache.write(1, 0, b"new", old_size=8))
+        sim.run()
+        assert store.sync_get(key) == b"old data"
+        assert cache.has_dirty(1)
+        assert run(sim, cache.read(1, 0, 8)) == b"new data"
+        run(sim, cache.flush(1))
+        assert store.sync_get(key) == b"new data"
+        assert not cache.has_dirty(1)
+
+    @pytest.mark.parametrize("flushed", [False, True])
+    def test_write_past_size_reads_zeros_in_gap(self, env, flushed):
+        sim, store, prt, cache = env
+        run(sim, cache.write(1, 0, b"abc", old_size=0))
+        if flushed:
+            run(sim, cache.flush(1))
+        run(sim, cache.write(1, 10, b"xyz", old_size=3))
+        assert run(sim, cache.read(1, 0, 13)) == b"abc" + bytes(7) + b"xyz"
+        run(sim, cache.flush(1))
+        assert store.sync_get(prt.key_data(1, 0)) == b"abc" + bytes(7) + b"xyz"
 
 
 class TestReadAheadPolicy:
@@ -129,7 +205,7 @@ class TestReadAheadPolicy:
         ra = ReadAheadState()
         run(sim, cache.read(1, 0, 10, ra=ra))
         sim.run()  # let async prefetch processes complete
-        assert cache.stats["prefetches"] > 0
+        assert cache.metrics.counter("prefetches").value > 0
         assert cache.cached_entries(1) > 1
 
     def test_prefetched_read_is_hit(self, env):
@@ -139,9 +215,9 @@ class TestReadAheadPolicy:
         ra = ReadAheadState()
         run(sim, cache.read(1, 0, ESZ, ra=ra))
         sim.run()
-        misses_before = cache.stats["misses"]
+        misses_before = cache.metrics.counter("misses").value
         run(sim, cache.read(1, ESZ, ESZ, ra=ra))
-        assert cache.stats["misses"] == misses_before
+        assert cache.metrics.counter("misses").value == misses_before
 
 
 class TestEviction:
@@ -158,7 +234,7 @@ class TestEviction:
                                  old_size=i * ESZ))
         # The first (LRU) entries were evicted and must be durable.
         assert store.sync_get(prt.key_data(1, 0)) == bytes([0]) * ESZ
-        assert cache.stats["evictions"] >= 2
+        assert cache.metrics.counter("evictions").value >= 2
 
     def test_lru_order(self, env):
         sim, store, prt, cache = env

@@ -66,11 +66,11 @@ class TestDemandFanOut:
             store.sync_put(prt.key_data(1, i), bytes([i]) * ESZ)
         out = run(sim, cache.read(1, 0, 6 * ESZ))
         assert out == b"".join(bytes([i]) * ESZ for i in range(6))
-        assert cache.stats["misses"] == 6
-        assert cache.stats["batched_gets"] == 6
-        assert cache.stats["fetch_batches"] == 1
-        assert cache.stats["max_fetch_batch"] == 6
-        assert cache.stats["max_inflight_gets"] > 1
+        assert cache.metrics.counter("misses").value == 6
+        assert cache.metrics.counter("batched_gets").value == 6
+        assert cache.metrics.counter("fetch_batches").value == 1
+        assert cache.metrics.gauge("fetch_batch").max_value == 6
+        assert cache.metrics.gauge("inflight_gets").max_value > 1
 
     def test_fetch_parallel_1_is_the_serial_ablation(self):
         sim = Simulator()
@@ -80,9 +80,9 @@ class TestDemandFanOut:
             store.sync_put(prt.key_data(1, i), bytes([i]) * ESZ)
         out = run(sim, cache.read(1, 0, 6 * ESZ))
         assert out == b"".join(bytes([i]) * ESZ for i in range(6))
-        assert cache.stats["batched_gets"] == 0
-        assert cache.stats["serial_gets"] == 6
-        assert cache.stats["max_inflight_gets"] == 1
+        assert cache.metrics.counter("batched_gets").value == 0
+        assert cache.metrics.counter("serial_gets").value == 6
+        assert cache.metrics.gauge("inflight_gets").max_value == 1
 
     def test_fanout_overlaps_store_latency(self):
         """A cold 8-entry read takes ~one object-store round trip with
@@ -153,7 +153,7 @@ class TestPrefetchDedup:
         sim.run()  # drain the prefetch processes
         assert cache.total_entries <= cache.capacity
         assert cache._reserved == 0  # every reserved slot was returned
-        assert cache.stats["prefetches"] <= cache.capacity
+        assert cache.metrics.counter("prefetches").value <= cache.capacity
 
     def test_reservations_returned_when_prefetch_drops(self):
         """Prefetches that find their slot claimed give the reservation
@@ -203,9 +203,9 @@ class TestBatchedFlush:
         for ino in range(1, n + 1):
             assert store.backing.sync_get(prt.key_data(ino, 0)) \
                 == bytes([ino]) * ESZ
-        assert cache.stats["wb_batches"] >= 1
-        assert cache.stats["max_wb_batch"] == n
-        assert cache.stats["max_inflight_puts"] > 1
+        assert cache.metrics.counter("wb_batches").value >= 1
+        assert cache.metrics.gauge("wb_batch").max_value == n
+        assert cache.metrics.gauge("inflight_puts").max_value > 1
 
     def test_invalidate_uses_batched_writeback(self):
         sim = Simulator()
@@ -217,8 +217,8 @@ class TestBatchedFlush:
         assert cache.cached_entries(1) == 0
         for i in range(6):
             assert store.sync_get(prt.key_data(1, i)) == b"z" * ESZ
-        assert cache.stats["wb_batches"] >= 1
-        assert cache.stats["max_wb_batch"] > 1
+        assert cache.metrics.counter("wb_batches").value >= 1
+        assert cache.metrics.gauge("wb_batch").max_value > 1
 
     def test_drop_all_fans_out_across_files(self):
         sim = Simulator()
@@ -231,7 +231,7 @@ class TestBatchedFlush:
         assert cache.total_entries == 0
         for ino in (1, 2, 3):
             assert store.sync_get(prt.key_data(ino, 0)) == bytes([ino]) * ESZ
-        assert cache.stats["max_wb_batch"] == 3
+        assert cache.metrics.gauge("wb_batch").max_value == 3
 
 
 class TestParallelCheckpoint:

@@ -69,7 +69,8 @@ class TestSpanCoverage:
             names = {a.name for a in _ancestors(g)}
             assert "vfs.read" in names
         assert any(s.name == "cache.fetch" for s in new)
-        fetch_batches = cluster.client(1).cache.stats["fetch_batches"]
+        cache = cluster.client(1).cache
+        fetch_batches = cache.metrics.counter("fetch_batches").value
         assert fetch_batches >= 1, "read did not take the batched-fetch path"
 
         # Span-sum tolerance: primitive descendants must cover >=95% of the
