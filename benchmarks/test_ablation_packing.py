@@ -66,9 +66,9 @@ def _ingest(pack: bool, scale, n_clients=2, procs=4):
                     for c in range(n_clients)])
     elapsed = sim.now - t0
     total = n_clients * procs * files
-    stats = (cluster.client(0).pack.stats
-             if cluster.client(0).pack is not None else {})
-    return total / elapsed, stats, cluster, sim
+    pack = cluster.client(0).pack
+    return (total / elapsed, pack.metrics if pack is not None else None,
+            cluster, sim)
 
 
 @pytest.mark.figure("ablation-A8")
@@ -89,13 +89,15 @@ def test_packing_speeds_up_small_file_ingest(bench_once, scale):
     print(f"  {'packing':>10} {'rate':>12}")
     print(f"  {'off':>10} {off_rate:>12,.0f}")
     print(f"  {'on':>10} {on_rate:>12,.0f}   ({speedup:.1f}x)")
-    print(f"  packed {stats['chunks_packed']} chunks "
-          f"({stats['bytes_packed'] / MiB:.1f} MiB) into "
-          f"{stats['packs_sealed']} containers")
+    chunks = stats.counter("chunks_packed").value
+    sealed = stats.counter("packs_sealed").value
+    print(f"  packed {chunks} chunks "
+          f"({stats.counter('bytes_packed').value / MiB:.1f} MiB) into "
+          f"{sealed} containers")
 
     assert sample_len > 0
-    assert stats["chunks_packed"] > 0
-    assert stats["packs_sealed"] < stats["chunks_packed"] / 4, \
+    assert chunks > 0
+    assert sealed < chunks / 4, \
         "packing must amortize many chunks per container PUT"
     assert speedup >= 2.0, f"packing speedup {speedup:.2f}x < 2x"
 
@@ -126,8 +128,9 @@ def test_large_file_path_unaffected_by_packing(bench_once, scale):
         run_phase(sim, [sim.process(worker())])
         run_phase(sim, [sim.process(cluster.client(0).sync())])
         bw = size / (sim.now - t0)
-        packed = (cluster.client(0).pack.stats["chunks_packed"]
-                  if cluster.client(0).pack is not None else 0)
+        pack = cluster.client(0).pack
+        packed = (pack.metrics.counter("chunks_packed").value
+                  if pack is not None else 0)
         return bw, packed
 
     def run():
@@ -164,7 +167,7 @@ def test_compaction_restores_live_ratio(bench_once):
             fs.write_file(f"/a/f{i}", bytes([i % 251 + 1]) * 50_000)
         sim.run_process(client.sync())
         sim.run(until=sim.now + 2)
-        sealed = client.pack.stats["packs_sealed"]
+        sealed = client.pack.metrics.counter("packs_sealed").value
         for i in range(n):
             if i % 3 != 0:
                 fs.unlink(f"/a/f{i}")
@@ -176,16 +179,16 @@ def test_compaction_restores_live_ratio(bench_once):
         for path, want in survivors.items():
             assert fs.read_file(path) == want, path
         report = sim.run_process(fsck(cluster.prt, pack_live_warn=0.8))
-        return sealed, client.pack.stats, report
+        return sealed, client.pack.metrics, report
 
     sealed, stats, report = bench_once(run)
     print(f"\nA8 compaction: {sealed} containers sealed, "
-          f"{stats['compactions']} compactions moved "
-          f"{stats['compacted_bytes'] / KiB:.0f} KiB, reclaimed "
-          f"{stats['reclaimed_bytes'] / KiB:.0f} KiB "
-          f"({stats['containers_purged']} containers purged)")
-    assert stats["compactions"] > 0
-    assert stats["reclaimed_bytes"] > 0
+          f"{stats.counter('compactions').value} compactions moved "
+          f"{stats.counter('compacted_bytes').value / KiB:.0f} KiB, "
+          f"reclaimed {stats.counter('reclaimed_bytes').value / KiB:.0f} KiB "
+          f"({stats.counter('containers_purged').value} containers purged)")
+    assert stats.counter("compactions").value > 0
+    assert stats.counter("reclaimed_bytes").value > 0
     assert report.clean, report.summary()
     # Live ratio restored: even at the strict 0.8 warn threshold the
     # settled layout carries no compaction debt.

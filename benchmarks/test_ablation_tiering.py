@@ -36,12 +36,14 @@ def test_tiering_speeds_up_aged_reads(bench_once, scale):
     # the rest should be absorbed hot. Demand a clear majority of hits.
     assert tier["hit_rate"] >= (REREADS - 2) / REREADS, \
         f"hot hit rate {tier['hit_rate']:.2%} too low"
-    assert stats["promotions"] > 0, "aged reads must demand-promote"
-    assert stats["demotions"] > 0, \
+    assert stats.counter("promotions").value > 0, \
+        "aged reads must demand-promote"
+    assert stats.counter("demotions").value > 0, \
         "ingest beyond hot capacity must trigger lifecycle demotion"
     # Cold GET-byte savings: the hot tier must serve more bytes than the
     # cold store does during the aged mix.
-    assert stats["hit_bytes"] > stats["cold_get_bytes"], \
+    assert (stats.counter("hit_bytes").value
+            > stats.counter("cold_get_bytes").value), \
         "hot tier served fewer bytes than cold during the read mix"
     assert tier["cold_cost_saved"] > 0.0
     # Write-back staging must not slow ingest below the cold baseline.

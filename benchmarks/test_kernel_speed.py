@@ -2,9 +2,9 @@
 
 Measures raw scheduler throughput (simulated operations per real second) on
 the two workloads from :mod:`repro.bench.kernelbench`, each under both
-kernels. The speedups land in ``BENCH_kernel.json`` via ``extra_info`` and
-``scripts/perf_gate.py`` gates CI on them (ratios, not absolute ops/sec, so
-host speed mostly cancels).
+kernels. The speedups land in ``BENCH_kernel.json`` via ``extra_info``, and
+:func:`test_kernel_microbench_speedup` gates CI on them (ratios, not
+absolute ops/sec, so host speed mostly cancels).
 
 The fig6a data-path benchmark is gated on *deterministic* kernel counters
 instead of wall clock: fig6a is dominated by cache/data movement, not the
@@ -42,8 +42,9 @@ PRE_PR = {"pingpong_ops_per_sec": 37_200.0,
           "contended_ops_per_sec": 339_000.0}
 
 # (workload, minimum fast-vs-legacy speedup). Measured: pingpong 4.4-5.2x,
-# contended 1.24-1.45x.
-_FLOORS = [("pingpong", 3.5), ("contended", 1.1)]
+# contended 1.24-1.45x. Each floor is at least 80% of the low end of its
+# measured range, so a fast path that quietly stopped firing fails here.
+_FLOORS = [("pingpong", 3.52), ("contended", 1.1)]
 
 
 @pytest.mark.parametrize("workload,floor", _FLOORS)

@@ -1,12 +1,12 @@
 #!/usr/bin/env python
 """Perf-trend observatory: track benchmark trajectories, flag regressions.
 
-Generalizes ``scripts/perf_gate.py`` (which gates the two kernel-microbench
-speedup ratios) into a baseline registry over every benchmark JSON the CI
-produces — fig4/fig6/table2 walls and their deterministic simulation
-counters, the kernel microbench, mdtest — plus an append-only trajectory
-file that accumulates one line per run, so drift is visible over time
-rather than only at the moment it crosses a gate.
+A baseline registry over every benchmark JSON the CI produces —
+fig4/fig6/table2 walls and their deterministic simulation counters, the
+kernel microbench, mdtest — plus an append-only trajectory file that
+accumulates one line per run, so drift is visible over time rather than
+only at the moment it crosses a gate. (The kernel speed-up ratios
+themselves are gated by ``benchmarks/test_kernel_speed.py``.)
 
 Usage::
 
@@ -33,8 +33,9 @@ artifact so the history survives across runs when seeded back in).
 Benchmarks in the baseline but absent from the given results files are
 skipped (each CI job checks only the files it produced).
 
-``update`` rewrites the baseline from the given results; commit the diff
-alongside whatever change justified it.
+``update`` rewrites the baseline from the given results, atomically (a
+failed write leaves the old baseline intact); commit the diff alongside
+whatever change justified it.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import json
 import os
 import re
 import sys
+import tempfile
 import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -202,6 +204,23 @@ def check(results_paths, baseline_path: str, strict_wall: bool) -> int:
     return 0
 
 
+def _write_json_atomic(path: str, payload: dict) -> None:
+    """Replace ``path`` with ``payload`` as JSON, all or nothing: write a
+    temp file beside it, fsync, then rename it over ``path``."""
+    fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.",
+                               dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with os.fdopen(fd, "w") as f:
+            json.dump(payload, f, indent=2)
+            f.write("\n")
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def update(results_paths, baseline_path: str) -> int:
     benches = extract_all(results_paths)
     if os.path.exists(baseline_path):
@@ -230,9 +249,7 @@ def update(results_paths, baseline_path: str) -> int:
             entry["wall_s_reference"] = round(got["wall_s"], 3)
         print(f"{name}: {len(exact)} exact key(s), "
               f"wall {got['wall_s'] or 0:.2f}s")
-    with open(baseline_path, "w") as f:
-        json.dump(baseline, f, indent=2)
-        f.write("\n")
+    _write_json_atomic(baseline_path, baseline)
     print(f"wrote {baseline_path}")
     return 0
 

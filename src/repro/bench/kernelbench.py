@@ -13,8 +13,8 @@ Each returns wall-clock ops/sec (simulated operations per real second) and
 the kernel counters, and :func:`compare` runs a workload under both the
 fast two-queue scheduler and the reference heap-only scheduler
 (``Simulator(fast=False)``) to report the speedup — the number
-``scripts/perf_gate.py`` gates on, chosen over absolute ops/sec because a
-ratio of two runs on the same machine mostly cancels host speed.
+``benchmarks/test_kernel_speed.py`` gates on, chosen over absolute ops/sec
+because a ratio of two runs on the same machine mostly cancels host speed.
 """
 
 from __future__ import annotations

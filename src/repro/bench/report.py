@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Sequence
 
 from ..obs import format_attribution
 from ..obs.metrics import Counter, Gauge, MetricsRegistry
@@ -85,72 +85,42 @@ def format_speedups(title: str, rows: Mapping[str, Mapping[str, float]],
     return "\n".join(out)
 
 
-#: Gauge metric name -> legacy high-water-mark key, per component scope.
-_CACHE_GAUGE_KEYS = {"fetch_batch": "max_fetch_batch",
-                     "wb_batch": "max_wb_batch",
-                     "inflight_gets": "max_inflight_gets",
-                     "inflight_puts": "max_inflight_puts"}
-_JOURNAL_GAUGE_KEYS = {"ckpt_batch": "ckpt_max_batch",
-                       "commit_fanout": "commit_max_fanout"}
-
-
-def _fanout_from_registry(reg: MetricsRegistry):
-    """Aggregate per-client ``*.cache.*`` / ``*.journal.*`` metrics into the
-    legacy flat-dict shapes ``format_fanout`` renders (summed counters,
-    maxed high-water marks across clients)."""
-    cache: Dict[str, int] = {}
-    journal: Dict[str, int] = {}
-    for dst, marker, gauge_keys in ((cache, ".cache.", _CACHE_GAUGE_KEYS),
-                                    (journal, ".journal.",
-                                     _JOURNAL_GAUGE_KEYS)):
-        for name, m in reg.items():
-            if marker not in name:
-                continue
-            suffix = name.split(marker, 1)[1]
-            if isinstance(m, Counter):
-                dst[suffix] = dst.get(suffix, 0) + m.value
-            elif isinstance(m, Gauge):
-                key = gauge_keys.get(suffix)
-                if key is not None:
-                    dst[key] = max(dst.get(key, 0), m.max_value)
-    return cache, (journal or None)
-
-
-def format_fanout(title: str, cache_stats,
-                  journal_fanout: Optional[Mapping[str, int]] = None) -> str:
+def format_fanout(title: str, reg: MetricsRegistry) -> str:
     """Summarize how parallel the scatter-gather I/O paths actually ran.
 
-    Takes a flat dict of cache counters and (optionally)
-    ``JournalManager.fanout`` — or a whole :class:`MetricsRegistry`, whose
-    per-client cache/journal metrics are then aggregated — and renders
-    batched-vs-serial op counts plus batch-size / in-flight high-water
-    marks — the observability check that a "parallel" run really fanned
-    out."""
-    if isinstance(cache_stats, MetricsRegistry):
-        cache_stats, reg_journal = _fanout_from_registry(cache_stats)
-        if journal_fanout is None:
-            journal_fanout = reg_journal
-    s = cache_stats
-    out = [title]
-    bg, sg = s.get("batched_gets", 0), s.get("serial_gets", 0)
-    bp, sp = s.get("batched_puts", 0), s.get("serial_puts", 0)
-    out.append(f"  demand GETs : {bg:6d} batched / {sg:6d} serial in "
-               f"{s.get('fetch_batches', 0)} batches "
-               f"(max batch {s.get('max_fetch_batch', 0)}, "
-               f"max in-flight {s.get('max_inflight_gets', 0)})")
-    out.append(f"  writebacks  : {bp:6d} batched / {sp:6d} serial in "
-               f"{s.get('wb_batches', 0)} batches "
-               f"(max batch {s.get('max_wb_batch', 0)}, "
-               f"max in-flight {s.get('max_inflight_puts', 0)})")
-    if journal_fanout is not None:
-        j = journal_fanout
-        out.append(f"  checkpoints : {j.get('ckpt_batched_ops', 0):6d} "
-                   f"batched / {j.get('ckpt_serial_ops', 0):6d} serial ops "
-                   f"in {j.get('ckpt_batches', 0)} batches "
-                   f"(max batch {j.get('ckpt_max_batch', 0)})")
-        out.append(f"  commits     : {j.get('commit_rounds', 0):6d} rounds "
-                   f"(max dirs/round {j.get('commit_max_fanout', 0)})")
-    return "\n".join(out)
+    Sums every client's ``*.cache.*`` / ``*.journal.*`` counters in
+    ``reg`` and takes the highest high-water mark of each gauge, then
+    renders batched-vs-serial op counts plus batch-size / in-flight peaks —
+    the observability check that a "parallel" run really fanned out."""
+
+    def total(name: str) -> int:
+        return sum(m.value for n, m in reg.items()
+                   if n.endswith("." + name) and isinstance(m, Counter))
+
+    def peak(name: str) -> int:
+        return max((m.max_value for n, m in reg.items()
+                    if n.endswith("." + name) and isinstance(m, Gauge)),
+                   default=0)
+
+    return "\n".join([
+        title,
+        f"  demand GETs : {total('cache.batched_gets'):6d} batched / "
+        f"{total('cache.serial_gets'):6d} serial in "
+        f"{total('cache.fetch_batches')} batches "
+        f"(max batch {peak('cache.fetch_batch')}, "
+        f"max in-flight {peak('cache.inflight_gets')})",
+        f"  writebacks  : {total('cache.batched_puts'):6d} batched / "
+        f"{total('cache.serial_puts'):6d} serial in "
+        f"{total('cache.wb_batches')} batches "
+        f"(max batch {peak('cache.wb_batch')}, "
+        f"max in-flight {peak('cache.inflight_puts')})",
+        f"  checkpoints : {total('journal.ckpt_batched_ops'):6d} "
+        f"batched / {total('journal.ckpt_serial_ops'):6d} serial ops "
+        f"in {total('journal.ckpt_batches')} batches "
+        f"(max batch {peak('journal.ckpt_batch')})",
+        f"  commits     : {total('journal.commit_rounds'):6d} rounds "
+        f"(max dirs/round {peak('journal.commit_fanout')})",
+    ])
 
 
 def merge_attributions(parts: Sequence[Dict[str, Dict[str, Any]]]

@@ -98,8 +98,7 @@ def tier_aged_read(kind: str, scale, n_clients: int = 2,
 
     lats.sort()
     store = cluster.store
-    tier_stats = getattr(store, "stats", None) if hasattr(
-        store, "tier_maintain") else None
+    tier = store.metrics if hasattr(store, "tier_maintain") else None
     result = {
         "kind": kind,
         "ingest_rate": (n_clients * procs * files) / ingest_elapsed,
@@ -107,11 +106,12 @@ def tier_aged_read(kind: str, scale, n_clients: int = 2,
         "read_elapsed": read_elapsed,
         "read_mean": sum(lats) / len(lats),
         "read_p99": lats[int(len(lats) * 0.99) - 1],
-        "tier": tier_stats,
+        "tier": tier,
     }
-    if tier_stats is not None:
-        total = tier_stats["hits"] + tier_stats["misses"]
-        result["hit_rate"] = tier_stats["hits"] / total if total else 0.0
+    if tier is not None:
+        hits = tier.counter("hits").value
+        total = hits + tier.counter("misses").value
+        result["hit_rate"] = hits / total if total else 0.0
         result["cold_cost_saved"] = store.cold_cost_saved()
     return result
 
@@ -141,13 +141,16 @@ def format_tier_report(results: Dict[str, Dict]) -> str:
     lines.append(f"  aged-read speedup: {speedup:.1f}x")
     stats = tier["tier"]
     if stats is not None:
+        hits, misses, promotions, demotions, cold_get, hot_served = (
+            stats.counter(name).value
+            for name in ("hits", "misses", "promotions", "demotions",
+                         "cold_get_bytes", "hit_bytes"))
         lines.append(
             f"  hot tier: hit rate {tier['hit_rate'] * 100:.1f}% "
-            f"({stats['hits']} hits / {stats['misses']} misses), "
-            f"{stats['promotions']} promotions, "
-            f"{stats['demotions']} demotions")
+            f"({hits} hits / {misses} misses), "
+            f"{promotions} promotions, {demotions} demotions")
         lines.append(
-            f"  cold GETs: {stats['cold_get_bytes'] / MiB:.1f} MiB "
-            f"fetched, {stats['hit_bytes'] / MiB:.1f} MiB served hot "
+            f"  cold GETs: {cold_get / MiB:.1f} MiB fetched, "
+            f"{hot_served / MiB:.1f} MiB served hot "
             f"(saved ${tier['cold_cost_saved']:.4f} of cold traffic)")
     return "\n".join(lines)

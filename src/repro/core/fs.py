@@ -106,6 +106,15 @@ def build_arkfs(
     if params.qos_enabled:
         from .qos import QosManager
         qos = QosManager(sim, params)
+    if faults is not None:
+        from ..faults.store import FaultyObjectStore
+        net.faults = faults
+        faults.attach(sim)
+
+    def shim(s: ObjectStore) -> ObjectStore:
+        """The fault shim around one backing store (none without faults)."""
+        return s if faults is None else FaultyObjectStore(s, faults)
+
     if store is None and params.tier_enabled:
         # Hot/cold tiered backend: a fast RADOS-like tier fronting a cold
         # capacity store. The fault shim wraps *each* tier so every
@@ -120,14 +129,8 @@ def build_arkfs(
                                      net=net, qos=qos)
             cold = ClusterObjectStore(sim, cold_profile or S3_COLD_PROFILE,
                                       net=net, qos=qos)
-        if faults is not None:
-            from ..faults.store import FaultyObjectStore
-            hot = FaultyObjectStore(hot, faults)
-            cold = FaultyObjectStore(cold, faults)
-            net.faults = faults
-            faults.attach(sim)
         store = TieredObjectStore(
-            sim, hot, cold,
+            sim, shim(hot), shim(cold),
             hot_capacity=params.tier_hot_capacity,
             high_watermark=params.tier_high_watermark,
             low_watermark=params.tier_low_watermark,
@@ -145,11 +148,7 @@ def build_arkfs(
                 store = ClusterObjectStore(sim,
                                            store_profile or RADOS_PROFILE,
                                            net=net, qos=qos)
-        if faults is not None:
-            from ..faults.store import FaultyObjectStore
-            store = FaultyObjectStore(store, faults)
-            net.faults = faults
-            faults.attach(sim)
+        store = shim(store)
     prt = PRT(store, params.data_object_size,
               retry=RetryPolicy.from_params(sim, params),
               pack_enabled=params.pack_enabled)

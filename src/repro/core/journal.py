@@ -249,6 +249,7 @@ class JournalManager:
         # the checkpoint/commit paths actually ran) live in the sim-wide
         # metrics registry, namespaced per client.
         m = Observability.of(sim).metrics.scope(client_name + ".journal")
+        self.metrics = m  # this journal's view of the registry
         self._c_commits = m.counter("commits")
         self._c_checkpoints = m.counter("checkpoints")
         self._c_ckpt_batches = m.counter("ckpt_batches")
@@ -259,30 +260,6 @@ class JournalManager:
         self._g_commit_fanout = m.gauge("commit_fanout")
         # (dir_ino, seq) -> committed txn awaiting checkpoint
         self._checkpoint_txns: Dict[Tuple[int, int], Transaction] = {}
-
-    @property
-    def commits(self) -> int:
-        """Committed transactions (legacy accessor for the registry counter)."""
-        return self._c_commits.value
-
-    @property
-    def checkpoints(self) -> int:
-        return self._c_checkpoints.value
-
-    @property
-    def fanout(self) -> Dict[str, int]:
-        """Legacy snapshot of the fan-out counters (deprecated shim).
-
-        Previously a live dict mutated in place; same keys, now a
-        point-in-time copy backed by the metrics registry."""
-        return {
-            "ckpt_batches": self._c_ckpt_batches.value,
-            "ckpt_batched_ops": self._c_ckpt_batched_ops.value,
-            "ckpt_serial_ops": self._c_ckpt_serial_ops.value,
-            "ckpt_max_batch": self._g_ckpt_batch.max_value,
-            "commit_rounds": self._c_commit_rounds.value,
-            "commit_max_fanout": self._g_commit_fanout.max_value,
-        }
 
     def _acquire(self, lock: Mutex) -> SimGen:
         """Request a journal lock, attributing a contended wait when traced.

@@ -102,6 +102,7 @@ class PackWriter:
 
         self._seal_lock = Mutex(sim, name=f"packseal:{client_name}")
         m = Observability.of(sim).metrics.scope(client_name + ".pack")
+        self.metrics = m  # this packer's view of the registry
         self._c_chunks = m.counter("chunks_packed")
         self._c_bytes = m.counter("bytes_packed")
         self._c_seals = m.counter("packs_sealed")
@@ -115,22 +116,6 @@ class PackWriter:
         self._g_open_buffer = m.gauge("open_buffer")
         self._ticker = sim.process(self._tick_loop(),
                                    name=f"{client_name}.packer")
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        return {
-            "chunks_packed": self._c_chunks.value,
-            "bytes_packed": self._c_bytes.value,
-            "packs_sealed": self._c_seals.value,
-            "buffer_reads": self._c_buffer_reads.value,
-            "packed_reads": self._c_packed_reads.value,
-            "dead_bytes": self._c_dead_bytes.value,
-            "compactions": self._c_compactions.value,
-            "compacted_bytes": self._c_compacted_bytes.value,
-            "reclaimed_bytes": self._c_reclaimed_bytes.value,
-            "containers_purged": self._c_containers_purged.value,
-            "max_open_buffer": self._g_open_buffer.max_value,
-        }
 
     def _call(self, factory) -> SimGen:
         return (yield from self._retry.call(factory))

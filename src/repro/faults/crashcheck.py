@@ -208,10 +208,6 @@ def _wl_checkpoint() -> Workload:
     points inside their store operations too."""
     udata, sdata = b"u" * 50, b"s" * 50
 
-    def setup(c):
-        yield from c.mkdir(ROOT_CREDS, "/c")
-        yield from c.sync()
-
     def wr(path, data, fsync):
         return lambda c: c.write_file(ROOT_CREDS, path, data,
                                       do_fsync=fsync)
@@ -243,7 +239,7 @@ def _wl_checkpoint() -> Workload:
               for i in range(3)]
     steps.append(Step("sync", gen=lambda c: c.sync(), durable=synced_check))
     steps.append(Step("advance-ckpt", advance=2.5))
-    return Workload("checkpoint", setup=setup, steps=steps)
+    return Workload("checkpoint", setup=_mkdir_sync("/c"), steps=steps)
 
 
 def _wl_pack() -> Workload:
@@ -260,10 +256,6 @@ def _wl_pack() -> Workload:
         pack_target_size=192 * KiB, pack_seal_age=0.5,
         pack_compact_live_ratio=0.8)
     content = {i: bytes([97 + i]) * (40_000 + 1_000 * i) for i in range(8)}
-
-    def setup(c):
-        yield from c.mkdir(ROOT_CREDS, "/p")
-        yield from c.sync()
 
     def wr(i, fsync):
         return lambda c: c.write_file(ROOT_CREDS, f"/p/f{i}", content[i],
@@ -313,24 +305,14 @@ def _wl_pack() -> Workload:
     steps.append(Step("advance-compact", advance=2.0))
     steps.append(Step("sync-3", gen=lambda c: c.sync()))
 
-    def invariants(fs, violations):
-        # Any surviving file must read as its exact content or as zeros
-        # (metadata-journaling semantics: an unfsynced file's bytes lived
-        # only in the victim's cache/open pack buffer) — never as another
-        # file's bytes or a torn mix. A 40 KB file is one chunk, so its
-        # packed extent is either wholly present or wholly absent.
-        for i in range(8):
-            path = f"/p/f{i}"
-            if not fs.exists(path):
-                continue
-            got = fs.read_file(path)
-            if got not in (content[i], b"\x00" * len(got), b""):
-                violations.append(
-                    f"{path} holds {len(got)} bytes that are neither its "
-                    f"content nor zeros")
-
-    return Workload("pack", setup=setup, steps=steps,
-                    invariants=invariants, params=params)
+    # Exact-or-zeros (metadata-journaling semantics: an unfsynced file's
+    # bytes lived only in the victim's cache/open pack buffer). A 40 KB
+    # file is one chunk, so its packed extent is either wholly present or
+    # wholly absent.
+    return Workload("pack", setup=_mkdir_sync("/p"), steps=steps,
+                    invariants=_exact_or_zeros(
+                        {f"/p/f{i}": content[i] for i in range(8)}),
+                    params=params)
 
 
 def _wl_shard_split() -> Workload:
@@ -351,10 +333,6 @@ def _wl_shard_split() -> Workload:
                                   shard_split_threshold=6, shard_fanout=4)
     n = 10
     content = {i: bytes([70 + i]) * (60 + 7 * i) for i in range(n)}
-
-    def setup(c):
-        yield from c.mkdir(ROOT_CREDS, "/s")
-        yield from c.sync()
 
     def wr(i):
         return lambda c: c.write_file(ROOT_CREDS, f"/s/f{i}", content[i],
@@ -405,6 +383,10 @@ def _wl_shard_split() -> Workload:
               for i in range(8, n)]
     steps.append(Step("sync-2", gen=lambda c: c.sync()))
 
+    files = {f"/s/f{i}": content[i] for i in range(n)}
+    files["/s/g2"] = content[2]
+    files_intact = _exact_or_zeros(files)
+
     def invariants(fs, violations):
         names = fs.readdir("/s")
         if len(names) != len(set(names)):
@@ -416,17 +398,9 @@ def _wl_shard_split() -> Workload:
         if fs.exists("/s/f2") and fs.exists("/s/g2"):
             violations.append(
                 "rename f2->g2 duplicated across shard ranges")
-        for i in range(n):
-            for path in (f"/s/f{i}",) + (("/s/g2",) if i == 2 else ()):
-                if not fs.exists(path):
-                    continue
-                got = fs.read_file(path)
-                if got not in (content[i], b"\x00" * len(got), b""):
-                    violations.append(
-                        f"{path} holds {len(got)} bytes that are neither "
-                        f"its content nor zeros")
+        files_intact(fs, violations)
 
-    return Workload("shard_split", setup=setup, steps=steps,
+    return Workload("shard_split", setup=_mkdir_sync("/s"), steps=steps,
                     invariants=invariants, params=params)
 
 
@@ -447,11 +421,6 @@ def _wl_epoch_handoff() -> Workload:
     point, and the ``fence-blind`` seeded bug exists to prove the audit
     has teeth."""
     udata, sdata, vdata = b"u" * 64, b"s" * 72, b"v" * 80
-
-    def setup(c):
-        yield from c.mkdir(ROOT_CREDS, "/d0")
-        yield from c.mkdir(ROOT_CREDS, "/d1")
-        yield from c.sync()
 
     def wr(path, data, fsync):
         return lambda c: c.write_file(ROOT_CREDS, path, data,
@@ -511,8 +480,8 @@ def _wl_epoch_handoff() -> Workload:
                 violations.append(f"{path} holds {len(got)} "
                                   f"unexpected bytes")
 
-    return Workload("epoch_handoff", setup=setup, steps=steps,
-                    invariants=invariants, n_lease_managers=3)
+    return Workload("epoch_handoff", setup=_mkdir_sync("/d0", "/d1"),
+                    steps=steps, invariants=invariants, n_lease_managers=3)
 
 
 def _wl_tier_drain() -> Workload:
@@ -533,10 +502,6 @@ def _wl_tier_drain() -> Workload:
         tier_dirty_max=128 * KiB, tier_drain_interval=0.4,
         tier_drain_batch=4, tier_promote_max=64 * KiB)
     content = {i: bytes([98 + i]) * (30_000 + 1_500 * i) for i in range(8)}
-
-    def setup(c):
-        yield from c.mkdir(ROOT_CREDS, "/t")
-        yield from c.sync()
 
     def crash_handler(cluster):
         victim = cluster.client(0)
@@ -602,23 +567,12 @@ def _wl_tier_drain() -> Workload:
     steps.append(Step("advance-demote", advance=1.0))
     steps.append(Step("sync-3", gen=lambda c: c.sync()))
 
-    def invariants(fs, violations):
-        # Exact-or-zeros, as in the pack workload: a surviving name must
-        # read its content or zeros (bytes that lived only in the victim's
-        # cache or the lost hot tier) — never torn or foreign bytes.
-        for i in range(8):
-            path = f"/t/f{i}"
-            if not fs.exists(path):
-                continue
-            got = fs.read_file(path)
-            if got not in (content[i], b"\x00" * len(got), b""):
-                violations.append(
-                    f"{path} holds {len(got)} bytes that are neither its "
-                    f"content nor zeros")
-
-    return Workload("tier_drain", setup=setup, steps=steps,
-                    invariants=invariants, params=params,
-                    crash_handler=crash_handler)
+    # Exact-or-zeros, as in the pack workload: zeros are the bytes that
+    # lived only in the victim's cache or the lost hot tier.
+    return Workload("tier_drain", setup=_mkdir_sync("/t"), steps=steps,
+                    invariants=_exact_or_zeros(
+                        {f"/t/f{i}": content[i] for i in range(8)}),
+                    params=params, crash_handler=crash_handler)
 
 
 def _wl_qos_backlog() -> Workload:
@@ -640,10 +594,6 @@ def _wl_qos_backlog() -> Workload:
         qos_bytes_rate=64 * KiB, qos_bytes_burst=16 * KiB,
         qos_max_inflight=4)
     content = {i: bytes([103 + i]) * (12_000 + 900 * i) for i in range(8)}
-
-    def setup(c):
-        yield from c.mkdir(ROOT_CREDS, "/q")
-        yield from c.sync()
 
     def wr(i, fsync):
         return lambda c: c.write_file(ROOT_CREDS, f"/q/f{i}", content[i],
@@ -693,25 +643,41 @@ def _wl_qos_backlog() -> Workload:
                                                  "/q/tmp survived unlink")))
     steps.append(Step("advance-settle", advance=1.0))
 
-    def invariants(fs, violations):
-        # Exact-or-zeros, as in the pack/tier workloads: throttle sleeps
-        # and admission retries must never tear or cross-wire file bytes.
-        for i in range(8):
-            path = f"/q/f{i}"
-            if not fs.exists(path):
-                continue
-            got = fs.read_file(path)
-            if got not in (content[i], b"\x00" * len(got), b""):
-                violations.append(
-                    f"{path} holds {len(got)} bytes that are neither its "
-                    f"content nor zeros")
-
-    return Workload("qos_backlog", setup=setup, steps=steps,
-                    invariants=invariants, params=params)
+    # Exact-or-zeros, as in the pack/tier workloads: throttle sleeps and
+    # admission retries must never tear or cross-wire file bytes.
+    return Workload("qos_backlog", setup=_mkdir_sync("/q"), steps=steps,
+                    invariants=_exact_or_zeros(
+                        {f"/q/f{i}": content[i] for i in range(8)}),
+                    params=params)
 
 
 def _noop_setup(client):
     yield client.sim.timeout(0)
+
+
+def _mkdir_sync(*dirs: str) -> Callable:
+    """Setup that creates ``dirs`` and syncs, so every step starts from a
+    durable tree."""
+    def setup(c):
+        for d in dirs:
+            yield from c.mkdir(ROOT_CREDS, d)
+        yield from c.sync()
+    return setup
+
+
+def _exact_or_zeros(files: Dict[str, bytes]) -> Callable:
+    """Invariant: each surviving path in ``files`` reads as its exact
+    content or as zeros — never another file's bytes or a torn mix."""
+    def invariants(fs, violations):
+        for path, data in files.items():
+            if not fs.exists(path):
+                continue
+            got = fs.read_file(path)
+            if got not in (data, b"\x00" * len(got), b""):
+                violations.append(
+                    f"{path} holds {len(got)} bytes that are neither its "
+                    f"content nor zeros")
+    return invariants
 
 
 def _assert(cond, msg):

@@ -109,6 +109,7 @@ class TieredObjectStore(ObjectStore):
         self.staged_dirty_bytes = 0
 
         m = Observability.of(sim).metrics.scope("tier")
+        self.metrics = m  # this tier's view of the registry
         self._c_hits = m.counter("hits")
         self._c_misses = m.counter("misses")
         self._c_hit_bytes = m.counter("hit_bytes")
@@ -703,23 +704,3 @@ class TieredObjectStore(ObjectStore):
     def __len__(self) -> int:
         return len(self.cold) + sum(1 for k in self._dirty
                                     if k not in self.cold)
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self._c_hits.value,
-            "misses": self._c_misses.value,
-            "hit_bytes": self._c_hit_bytes.value,
-            "cold_get_bytes": self._c_cold_get_bytes.value,
-            "promotions": self._c_promotions.value,
-            "promoted_bytes": self._c_promoted_bytes.value,
-            "demotions": self._c_demotions.value,
-            "demoted_bytes": self._c_demoted_bytes.value,
-            "drained_objects": self._c_drained_objects.value,
-            "drained_bytes": self._c_drained_bytes.value,
-            "staged_puts": self._c_staged_puts.value,
-            "writethrough_puts": self._c_writethrough_puts.value,
-            "stage_stalls": self._c_stage_stalls.value,
-            "hot_bytes": self.hot_bytes,
-            "staged_dirty_bytes": self.staged_dirty_bytes,
-        }

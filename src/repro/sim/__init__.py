@@ -21,8 +21,6 @@ from .engine import (
 from .network import NetParams, Network, Node, NodeDown, RpcError
 from .resources import BandwidthPipe, Mutex, Request, Resource, Store, serve
 from .stats import (
-    BandwidthMeter,
-    OpStats,
     PhaseRecorder,
     PhaseResult,
     kernel_counters,
@@ -31,7 +29,6 @@ from .stats import (
 __all__ = [
     "AllOf",
     "AnyOf",
-    "BandwidthMeter",
     "BandwidthPipe",
     "Event",
     "Interrupt",
@@ -40,7 +37,6 @@ __all__ = [
     "Network",
     "Node",
     "NodeDown",
-    "OpStats",
     "PhaseRecorder",
     "PhaseResult",
     "Process",

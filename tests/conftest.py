@@ -11,6 +11,23 @@ USER = Credentials(uid=1000, gid=1000)
 OTHER = Credentials(uid=2000, gid=2000)
 
 
+def fingerprint(sim, cluster):
+    """Everything a run leaves observable: clock, network totals, store op
+    counts and store bytes. Two runs are bit-identical when these match."""
+    # The realistic ClusterObjectStore keeps its bytes (and sync_* helpers)
+    # on an in-memory backing store; the functional build IS that store.
+    store = cluster.store
+    backing = getattr(store, "backing", store)
+    content = {k: bytes(backing.sync_get(k)) for k in backing.sync_list("")}
+    return {
+        "now": sim.now,
+        "messages": cluster.net.messages_sent,
+        "bytes": cluster.net.bytes_sent,
+        "store_ops": dict(backing.op_counts),
+        "content": content,
+    }
+
+
 @pytest.fixture
 def sim():
     return Simulator()

@@ -111,7 +111,8 @@ class TestJournalManager:
         assert prt.key_inode(5) in prt.store
         # Journal object invalidated after checkpoint.
         assert prt.store.sync_list(prt.key_journal_prefix(7)) == []
-        assert jm.commits == 1 and jm.checkpoints == 1
+        assert jm.metrics.counter("commits").value == 1
+        assert jm.metrics.counter("checkpoints").value == 1
 
     def test_commit_thread_flushes_on_interval(self):
         sim, prt, jm = make_env()
@@ -128,7 +129,7 @@ class TestJournalManager:
         for i in range(100):
             jm.record(7, ops_put_inode(inode(1000 + i)))
         sim.run_process(jm.flush(7, full=True))
-        assert jm.commits == 1
+        assert jm.metrics.counter("commits").value == 1
         assert prt.store.op_counts["put"] >= 100  # checkpoint wrote each
 
     def test_independent_directories_have_independent_journals(self):

@@ -80,9 +80,9 @@ def test_small_files_pack_into_containers():
     packs, indices = _keys(cluster, "p"), _keys(cluster, "x")
     assert len(indices) == 16
     assert 0 < len(packs) < 16
-    st = cluster.client(0).pack.stats
-    assert st["chunks_packed"] == 16
-    assert st["packs_sealed"] == len(packs)
+    st = cluster.client(0).pack.metrics
+    assert st.counter("chunks_packed").value == 16
+    assert st.counter("packs_sealed").value == len(packs)
     for path, data in payloads.items():
         assert fs.read_file(path) == data
 
@@ -106,17 +106,17 @@ def test_reads_through_every_pipeline_state():
         fs.write_file(f"/a/f{i}", data)
     # f0..f5 were evicted into the open pack buffer; no container yet.
     assert _keys(cluster, "p") == []
-    before = client.pack.stats["buffer_reads"]
+    before = client.pack.metrics.counter("buffer_reads").value
     assert fs.read_file("/a/f0") == payloads["/a/f0"]
-    assert client.pack.stats["buffer_reads"] > before
+    assert client.pack.metrics.counter("buffer_reads").value > before
     # fsync seals; after dropping caches the reads are ranged GETs.
     _settle(sim, cluster)
     sim.run_process(client.drop_caches())
     assert _keys(cluster, "p")
-    before = client.pack.stats["packed_reads"]
+    before = client.pack.metrics.counter("packed_reads").value
     for path, data in payloads.items():
         assert fs.read_file(path) == data
-    assert client.pack.stats["packed_reads"] > before
+    assert client.pack.metrics.counter("packed_reads").value > before
 
 
 def _ino(fs, path):
@@ -165,7 +165,7 @@ def test_large_files_keep_plain_objects():
     fs.write_file("/a/big", big, do_fsync=True)
     _settle(sim, cluster)
     assert len(_keys(cluster, "d")) == 2
-    assert cluster.client(0).pack.stats["chunks_packed"] == 0
+    assert cluster.client(0).pack.metrics.counter("chunks_packed").value == 0
     assert fs.read_file("/a/big") == big
 
 
@@ -200,7 +200,7 @@ def test_overwrite_small_replaces_extent():
     fs.write_file("/a/f0", b"\x02" * 50_000, do_fsync=True)
     _settle(sim, cluster)
     assert fs.read_file("/a/f0") == b"\x02" * 50_000
-    assert client.pack.stats["dead_bytes"] >= 50_000
+    assert client.pack.metrics.counter("dead_bytes").value >= 50_000
     sim.run_process(client.drop_caches())
     assert fs.read_file("/a/f0") == b"\x02" * 50_000
 
@@ -221,9 +221,9 @@ def test_unlink_purges_index_and_ticker_reclaims_containers():
     _settle(sim, cluster, extra=4.0)
     assert _keys(cluster, "x") == []
     assert _keys(cluster, "p") == []
-    st = client.pack.stats
-    assert st["containers_purged"] > 0
-    assert st["reclaimed_bytes"] > 0
+    st = client.pack.metrics
+    assert st.counter("containers_purged").value > 0
+    assert st.counter("reclaimed_bytes").value > 0
     report = sim.run_process(fsck(cluster.prt))
     assert report.clean, report.summary()
 
@@ -247,9 +247,9 @@ def test_compaction_rewrites_mostly_dead_containers():
             fs.unlink(f"/a/f{i}")
             del payloads[f"/a/f{i}"]
     _settle(sim, cluster, extra=5.0)
-    st = client.pack.stats
-    assert st["compactions"] > 0
-    assert st["compacted_bytes"] > 0
+    st = client.pack.metrics
+    assert st.counter("compactions").value > 0
+    assert st.counter("compacted_bytes").value > 0
     sim.run_process(client.drop_caches())
     for path, data in payloads.items():
         assert fs.read_file(path) == data

@@ -18,6 +18,7 @@ from repro.core import DEFAULT_PARAMS, build_arkfs
 from repro.obs import Observability
 from repro.posix import ROOT_CREDS, SyncFS
 from repro.sim import Simulator
+from tests.conftest import fingerprint
 
 
 def _workload(cluster, sim):
@@ -36,19 +37,6 @@ def _workload(cluster, sim):
     for client in cluster.clients:
         sim.run_process(client.sync())
     sim.run(until=sim.now + 3)
-
-
-def _fingerprint(sim, cluster):
-    store = cluster.store
-    backing = getattr(store, "backing", store)
-    content = {k: bytes(backing.sync_get(k)) for k in backing.sync_list("")}
-    return {
-        "now": sim.now,
-        "messages": cluster.net.messages_sent,
-        "bytes": cluster.net.bytes_sent,
-        "store_ops": dict(backing.op_counts),
-        "content": content,
-    }
 
 
 def test_default_is_off_and_builds_no_pack_layer():
@@ -71,7 +59,7 @@ def test_pack_off_runs_bit_identical_on_realistic_store():
         sim = Simulator()
         cluster = build_arkfs(sim, n_clients=2, seed=0)
         _workload(cluster, sim)
-        prints.append(_fingerprint(sim, cluster))
+        prints.append(fingerprint(sim, cluster))
     assert prints[0] == prints[1]
 
 

@@ -309,13 +309,14 @@ class TestJournalFanOutCounters:
             fs.write_file(f"/d/f{i}", b"")
         client = cluster.client(0)
         sim.run_process(client.journal.flush_all(full=True))
-        fanout = client.journal.fanout
-        assert fanout["ckpt_batches"] >= 1
-        assert fanout["ckpt_max_batch"] > 1
+        m = client.journal.metrics
+        assert m.counter("ckpt_batches").value >= 1
+        assert m.gauge("ckpt_batch").max_value > 1
 
     def test_commit_loop_counts_rounds(self, cluster, fs, sim):
         for d in ("/x", "/y", "/z"):
             fs.mkdir(d)
             fs.write_file(f"{d}/f", b"1")
         sim.run(until=sim.now + 1.6)  # past one commit interval
-        assert cluster.client(0).journal.fanout["commit_rounds"] >= 1
+        m = cluster.client(0).journal.metrics
+        assert m.counter("commit_rounds").value >= 1

@@ -20,6 +20,7 @@ from repro.obs import Observability
 from repro.posix import ROOT_CREDS, SyncFS
 from repro.sim import Simulator
 from repro.sim.resources import Resource
+from tests.conftest import fingerprint
 
 
 def _fig4_mdtest(cluster, sim):
@@ -66,19 +67,6 @@ WORKLOADS = {
 }
 
 
-def _fingerprint(sim, cluster):
-    store = cluster.store
-    backing = getattr(store, "backing", store)
-    content = {k: bytes(backing.sync_get(k)) for k in backing.sync_list("")}
-    return {
-        "now": sim.now,
-        "messages": cluster.net.messages_sent,
-        "bytes": cluster.net.bytes_sent,
-        "store_ops": dict(backing.op_counts),
-        "content": content,
-    }
-
-
 def test_default_is_off_and_builds_no_qos():
     assert DEFAULT_PARAMS.qos_enabled is False, \
         "QoS must stay opt-in: the default run is the paper baseline"
@@ -108,7 +96,7 @@ def test_qos_off_runs_bit_identical(workload):
         sim = Simulator()
         cluster = build_arkfs(sim, n_clients=2, seed=0)
         WORKLOADS[workload](cluster, sim)
-        prints.append(_fingerprint(sim, cluster))
+        prints.append(fingerprint(sim, cluster))
     assert prints[0] == prints[1]
 
 

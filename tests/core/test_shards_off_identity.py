@@ -19,6 +19,7 @@ staying out of the way, not the workload being too small.
 from repro.core import DEFAULT_PARAMS, build_arkfs
 from repro.posix import ROOT_CREDS, SyncFS
 from repro.sim import Simulator
+from tests.conftest import fingerprint
 
 #: Wide-directory workload: 12 files in one directory (over any plausible
 #: test threshold), plus the rename/unlink/readdir traffic whose routing
@@ -38,19 +39,6 @@ def _workload(cluster, sim):
     for client in cluster.clients:
         sim.run_process(client.sync())
     sim.run(until=sim.now + 3)
-
-
-def _fingerprint(sim, cluster):
-    store = cluster.store
-    backing = getattr(store, "backing", store)
-    content = {k: bytes(backing.sync_get(k)) for k in backing.sync_list("")}
-    return {
-        "now": sim.now,
-        "messages": cluster.net.messages_sent,
-        "bytes": cluster.net.bytes_sent,
-        "store_ops": dict(backing.op_counts),
-        "content": content,
-    }
 
 
 def test_default_is_off_and_builds_no_shard_machinery():
@@ -73,7 +61,7 @@ def test_shards_off_runs_bit_identical_on_realistic_store():
         sim = Simulator()
         cluster = build_arkfs(sim, n_clients=2, seed=0)
         _workload(cluster, sim)
-        prints.append(_fingerprint(sim, cluster))
+        prints.append(fingerprint(sim, cluster))
     assert prints[0] == prints[1]
 
 

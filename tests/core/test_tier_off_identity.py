@@ -21,6 +21,7 @@ from repro.obs import Observability
 from repro.objectstore import TieredObjectStore
 from repro.posix import ROOT_CREDS, SyncFS
 from repro.sim import Simulator
+from tests.conftest import fingerprint
 
 
 def _fig4_mdtest(cluster, sim):
@@ -67,19 +68,6 @@ WORKLOADS = {
 }
 
 
-def _fingerprint(sim, cluster):
-    store = cluster.store
-    backing = getattr(store, "backing", store)
-    content = {k: bytes(backing.sync_get(k)) for k in backing.sync_list("")}
-    return {
-        "now": sim.now,
-        "messages": cluster.net.messages_sent,
-        "bytes": cluster.net.bytes_sent,
-        "store_ops": dict(backing.op_counts),
-        "content": content,
-    }
-
-
 def test_default_is_off_and_builds_no_tier():
     assert DEFAULT_PARAMS.tier_enabled is False, \
         "tiering must stay opt-in: the default run is the paper baseline"
@@ -102,7 +90,7 @@ def test_tier_off_runs_bit_identical(workload):
         sim = Simulator()
         cluster = build_arkfs(sim, n_clients=2, seed=0)
         WORKLOADS[workload](cluster, sim)
-        prints.append(_fingerprint(sim, cluster))
+        prints.append(fingerprint(sim, cluster))
     assert prints[0] == prints[1]
 
 
@@ -136,7 +124,7 @@ def test_tier_on_changes_plumbing_but_not_contents():
     assert results[False][0] == results[True][0]
     tier = results[True][1]
     assert isinstance(tier, TieredObjectStore)
-    assert tier.stats["staged_puts"] > 0
-    assert tier.stats["drained_objects"] > 0
+    assert tier.metrics.counter("staged_puts").value > 0
+    assert tier.metrics.counter("drained_objects").value > 0
     assert tier.tier_dirty_keys() == []  # sync drained everything
     assert not isinstance(results[False][1], TieredObjectStore)

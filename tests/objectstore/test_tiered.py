@@ -49,7 +49,8 @@ class TestStaging:
         assert tier.tier_dirty_keys() == ["d0001/0000000000"]
         assert tier.staged_dirty_bytes == 100
         assert run(sim, tier.get("d0001/0000000000")) == b"x" * 100
-        assert tier.stats["hits"] == 1 and tier.stats["staged_puts"] == 1
+        assert tier.metrics.counter("hits").value == 1
+        assert tier.metrics.counter("staged_puts").value == 1
 
     def test_metadata_writes_through_to_cold(self):
         sim, hot, cold, tier = make_tier()
@@ -59,7 +60,7 @@ class TestStaging:
             assert key in cold, key
             assert key in hot, key
         assert tier.tier_dirty_keys() == []
-        assert tier.stats["writethrough_puts"] == 6
+        assert tier.metrics.counter("writethrough_puts").value == 6
 
     def test_maintain_drains_to_cold(self):
         sim, hot, cold, tier = make_tier()
@@ -70,12 +71,12 @@ class TestStaging:
         assert cold.sync_get("d0001/0000000001") == b"b" * 60
         assert tier.tier_dirty_keys() == []
         assert tier.staged_dirty_bytes == 0
-        assert tier.stats["drained_objects"] == 2
-        assert tier.stats["drained_bytes"] == 110
+        assert tier.metrics.counter("drained_objects").value == 2
+        assert tier.metrics.counter("drained_bytes").value == 110
         # Drained objects stay hot (clean) until demotion needs the space.
-        assert tier.stats["hits"] == 0
+        assert tier.metrics.counter("hits").value == 0
         run(sim, tier.get("d0001/0000000000"))
-        assert tier.stats["hits"] == 1
+        assert tier.metrics.counter("hits").value == 1
 
     def test_drain_all_is_a_barrier(self):
         sim, hot, cold, tier = make_tier(drain_batch=2)
@@ -99,7 +100,7 @@ class TestStaging:
         # Second staged put would exceed the bound: it must wait for the
         # kicked drain (never for demotion), then land.
         run(sim, tier.put("d0001/0000000001", b"b" * 100))
-        assert tier.stats["stage_stalls"] >= 1
+        assert tier.metrics.counter("stage_stalls").value >= 1
         assert "d0001/0000000000" in cold  # the kicked drain pushed it
         assert run(sim, tier.get("d0001/0000000001")) == b"b" * 100
 
@@ -114,20 +115,21 @@ class TestPromotion:
         cold.sync_put("d0002/0000000000", b"c" * 80)
         data = run(sim, tier.get("d0002/0000000000"))
         assert data == b"c" * 80
-        assert tier.stats["misses"] == 1
-        assert tier.stats["cold_get_bytes"] == 80
+        assert tier.metrics.counter("misses").value == 1
+        assert tier.metrics.counter("cold_get_bytes").value == 80
         settle(sim)
-        assert tier.stats["promotions"] == 1
+        assert tier.metrics.counter("promotions").value == 1
         assert "d0002/0000000000" in hot
         run(sim, tier.get("d0002/0000000000"))
-        assert tier.stats["hits"] == 1  # second read is a hot hit
+        # second read is a hot hit
+        assert tier.metrics.counter("hits").value == 1
 
     def test_oversized_object_not_promoted(self):
         sim, hot, cold, tier = make_tier(promote_max=64)
         cold.sync_put("d0002/0000000000", b"c" * 100)
         run(sim, tier.get("d0002/0000000000"))
         settle(sim)
-        assert tier.stats["promotions"] == 0
+        assert tier.metrics.counter("promotions").value == 0
         assert "d0002/0000000000" not in hot
 
     def test_range_get_never_promotes(self):
@@ -136,8 +138,8 @@ class TestPromotion:
         out = run(sim, tier.get_range("p/pack1", 10, 5))
         assert out == b"01234"
         settle(sim)
-        assert tier.stats["promotions"] == 0
-        assert tier.stats["cold_get_bytes"] == 5
+        assert tier.metrics.counter("promotions").value == 0
+        assert tier.metrics.counter("cold_get_bytes").value == 5
         assert "p/pack1" not in hot
 
     def test_promoted_copy_is_clean_not_dirty(self):
@@ -159,7 +161,7 @@ class TestDemotion:
         run(sim, tier.get("d0001/0000000000"))
         run(sim, tier.get("d0001/0000000001"))
         run(sim, tier.tier_maintain())
-        assert tier.stats["demotions"] > 0
+        assert tier.metrics.counter("demotions").value > 0
         assert tier.hot_bytes <= 500
         assert "d0001/0000000000" in hot and "d0001/0000000001" in hot
         # Every demoted object still reads correctly (from cold).
@@ -177,14 +179,14 @@ class TestDemotion:
             run(sim, tier._hot_put(f"d0001/{i:010d}", b"z" * 100, None))
             tier._note_staged(f"d0001/{i:010d}", 100)
         run(sim, tier._demote())
-        assert tier.stats["demotions"] == 0
+        assert tier.metrics.counter("demotions").value == 0
         assert tier.hot_bytes == 500
 
     def test_under_watermark_is_a_noop(self):
         sim, hot, cold, tier = make_tier(hot_capacity=100_000)
         run(sim, tier.put("d0001/0000000000", b"a" * 100))
         run(sim, tier.tier_maintain())
-        assert tier.stats["demotions"] == 0
+        assert tier.metrics.counter("demotions").value == 0
         assert "d0001/0000000000" in hot
 
 
@@ -198,8 +200,8 @@ class TestBatchedVerbs:
         ]))
         assert tier.tier_dirty_keys() == ["d0001/0000000000", "p/pack1"]
         assert "i0001" in cold and "d0001/0000000000" not in cold
-        assert tier.stats["staged_puts"] == 2
-        assert tier.stats["writethrough_puts"] == 1
+        assert tier.metrics.counter("staged_puts").value == 2
+        assert tier.metrics.counter("writethrough_puts").value == 1
 
     def test_get_many_aligns_and_promotes(self):
         sim, hot, cold, tier = make_tier()
@@ -208,7 +210,8 @@ class TestBatchedVerbs:
         out = run(sim, tier.get_many(
             ["d0001/0000000000", "ghost", "d0002/0000000000"]))
         assert out == [b"hot!", None, b"cold"]
-        assert tier.stats["hits"] == 1 and tier.stats["misses"] == 2
+        assert tier.metrics.counter("hits").value == 1
+        assert tier.metrics.counter("misses").value == 2
         settle(sim)
         assert "d0002/0000000000" in hot
 

@@ -129,6 +129,25 @@ class TestCheck:
         assert trend.check([res2], base, strict_wall=True) == 1
 
 
+    def test_failed_update_leaves_old_baseline(self, trend, tmp_path,
+                                               monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "small")
+        res = _bench_json(tmp_path / "b.json", extra_info=dict(EXTRA))
+        base = tmp_path / "baseline.json"
+        trend.update([res], str(base))
+        before = base.read_bytes()
+
+        def torn_dump(obj, fp, **kwargs):
+            fp.write('{"benchmarks": {')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(trend.json, "dump", torn_dump)
+        with pytest.raises(OSError):
+            trend.update([res], str(base))
+        assert base.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["b.json", "baseline.json"]
+
+
 class TestAppend:
     def test_append_writes_jsonl_without_per_instance(self, trend, tmp_path,
                                                       monkeypatch):
