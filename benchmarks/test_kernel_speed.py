@@ -17,8 +17,8 @@ Measured reference numbers (same machine, best of 3, fresh process):
 * pingpong:  legacy/pre-PR ~37-42k ops/s, fast ~167-208k  -> 4.4-5.0x
 * contended: legacy/pre-PR ~339-405k ops/s, fast ~515-554k -> 1.4x
   (per-op generator frames shared by both kernels floor this ratio)
-* fig6a arkfs events: legacy 13,898 loop / 13,910 heap pushes;
-  fast 9,556 loop / 7,630 heap pushes (4,340 consumed inline)
+* fig6a arkfs events: legacy 13,878 loop / 13,890 heap pushes;
+  fast 9,542 loop / 7,620 heap pushes (4,335 consumed inline)
 
 Assertion floors sit well under the measured speedups to absorb CI noise.
 """
@@ -107,7 +107,7 @@ def test_fig6a_event_elision_and_identity(benchmark):
           f"{out['fast']['loop_events']} (-{loop_cut:.0%}), heap pushes "
           f"{out['legacy']['heap_pushes']} -> {out['fast']['heap_pushes']} "
           f"(-{heap_cut:.0%}), {out['fast']['inline_events']} inline")
-    # Measured: 31% fewer loop events, 45% fewer heap pushes, 4340 inline.
+    # Measured: 31% fewer loop events, 45% fewer heap pushes, 4335 inline.
     assert loop_cut >= 0.25
     assert heap_cut >= 0.35
     assert out["fast"]["inline_events"] > 0

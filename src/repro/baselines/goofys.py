@@ -119,7 +119,7 @@ class GoofysClient(VFSClient):
     # -- namespace -----------------------------------------------------------------------
 
     def lookup(self, creds: Credentials, dir_path: str, name: str) -> SimGen:
-        return (yield from self.stat(creds, pathmod.join(dir_path, name)))
+        return self.stat(creds, pathmod.join(dir_path, name))
 
     def stat(self, creds: Credentials, path: str) -> SimGen:
         yield from self._cpu()

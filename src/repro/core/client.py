@@ -42,7 +42,7 @@ from ..posix.errors import (
 )
 from ..posix.types import Credentials, FileType, OpenFlags, F_OK, X_OK
 from ..posix.vfs import FileHandle, VFSClient
-from ..sim.engine import Interrupt, SimGen, Simulator
+from ..sim.engine import Interrupt, SimGen, SimIter, Simulator
 from ..sim.network import MessageDropped, Node, NodeDown
 from .cache import DataObjectCache, ReadAheadState
 from .filelease import DIRECT, FileLeaseGrant, READ, WRITE, FileLeaseService
@@ -78,6 +78,11 @@ class OpenState:
     lease: Optional[FileLeaseGrant] = None
     ra: ReadAheadState = field(default_factory=ReadAheadState)
     wrote: bool = False
+
+
+def _inode_or_stat(d: Dict[str, Any], stat: bool):
+    inode = Inode.from_dict(d)
+    return inode.stat() if stat else inode
 
 
 class ArkFSClient(LeaderOps, VFSClient):
@@ -200,11 +205,13 @@ class ArkFSClient(LeaderOps, VFSClient):
 
     # ------------------------------------------------------------------ costs
 
-    def _charge_md_op(self) -> SimGen:
-        yield from self.node.work(self.params.md_op_cpu)
+    # Flat helpers returning Node.work's iterable: no frame per charge.
 
-    def _charge_lookup(self) -> SimGen:
-        yield from self.node.work(self.params.lookup_cpu)
+    def _charge_md_op(self) -> SimIter:
+        return self.node.work(self.params.md_op_cpu)
+
+    def _charge_lookup(self) -> SimIter:
+        return self.node.work(self.params.lookup_cpu)
 
     def _charge_journal(self, n_entries: int,
                         dir_ino: Optional[int] = None) -> SimGen:
@@ -230,14 +237,18 @@ class ArkFSClient(LeaderOps, VFSClient):
     def _run_op(self, opname: str, kwargs: Dict[str, Any]) -> SimGen:
         """Invoke a leader-side op handler, honoring the split gate.
 
-        With shards disabled this is a plain call — no events, no state.
-        With shards enabled, ops on a directory whose split is migrating
-        dentries wait for the split to finish, and in-flight ops are
-        counted so the splitter can drain them before freezing the range.
+        With shards disabled this returns the handler's generator — no
+        events, no state, no frame. With shards enabled, ops on a
+        directory whose split is migrating dentries wait for the split to
+        finish, and in-flight ops are counted so the splitter can drain
+        them before freezing the range.
         """
         handler = getattr(self, "_op_" + opname)
         if self._split_busy is None:
-            return (yield from handler(**kwargs))
+            return handler(**kwargs)
+        return self._run_op_gated(handler, kwargs)
+
+    def _run_op_gated(self, handler, kwargs: Dict[str, Any]) -> SimGen:
         d = kwargs.get("dir_ino")
         while True:
             gate = self._split_busy.get(d)
@@ -262,6 +273,8 @@ class ArkFSClient(LeaderOps, VFSClient):
         return True
 
     def _peer_call(self, leader: str, opname: str, **kwargs: Any) -> SimGen:
+        """Forward an op to its leader: returns the RPC generator to
+        ``yield from`` (an unknown leader raises at the call)."""
         target = self.node.net.nodes.get(leader)
         if target is None:
             raise NodeDown(f"unknown leader {leader}")
@@ -269,8 +282,7 @@ class ArkFSClient(LeaderOps, VFSClient):
         d = kwargs.get("dir_ino")
         if d is not None and d in self._shard_home:
             kwargs.setdefault("shard_ctx", self._shard_home[d])
-        result = yield from self.node.call(target, "arkfs", opname, kwargs)
-        return result
+        return self.node.call(target, "arkfs", opname, kwargs)
 
     def _mgr(self, method: str, *args: Any) -> SimGen:
         """Call the lease manager responsible for args[0] (a dir ino).
@@ -452,23 +464,27 @@ class ArkFSClient(LeaderOps, VFSClient):
 
     def _authority_op(self, dir_ino: int, opname: str,
                       creds: Optional[Credentials], **kwargs: Any) -> SimGen:
-        result, _where, _at = yield from self._authority_op_where(
-            dir_ino, opname, creds, **kwargs)
-        return result
+        """Dispatch an authority op (see :meth:`_authority_op_core`),
+        applying QoS admission + throttling to top-level ops when the QoS
+        plane is installed. Plain function returning the generator to
+        ``yield from``, whose value is the op's result."""
+        if self.qos is None or self._qos_depth:
+            return self._authority_op_core(dir_ino, opname, creds, kwargs,
+                                           False)
+        return self._authority_op_qos(dir_ino, opname, creds, kwargs, False)
 
     def _authority_op_where(self, dir_ino: int, opname: str,
                             creds: Optional[Credentials],
-                            **kwargs: Any):
-        """Dispatch an authority op, applying QoS admission + throttling to
-        top-level ops when the QoS plane is installed. Plain function
-        returning the generator to ``yield from`` (zero overhead off)."""
+                            **kwargs: Any) -> SimGen:
+        """:meth:`_authority_op` whose value is ``(result, where, at)``."""
         if self.qos is None or self._qos_depth:
-            return self._authority_op_core(dir_ino, opname, creds, **kwargs)
-        return self._authority_op_qos(dir_ino, opname, creds, kwargs)
+            return self._authority_op_core(dir_ino, opname, creds, kwargs,
+                                           True)
+        return self._authority_op_qos(dir_ino, opname, creds, kwargs, True)
 
     def _authority_op_qos(self, dir_ino: int, opname: str,
                           creds: Optional[Credentials],
-                          kwargs: Dict[str, Any]) -> SimGen:
+                          kwargs: Dict[str, Any], where: bool) -> SimGen:
         """QoS wrapper: ops token bucket + bounded in-flight admission
         (TenantBusy → EAGAIN, retried through the client retry policy),
         with the op's latency attributed to the tenant."""
@@ -479,7 +495,7 @@ class ArkFSClient(LeaderOps, VFSClient):
         self._qos_depth += 1
         try:
             result = yield from self._authority_op_core(
-                dir_ino, opname, creds, **kwargs)
+                dir_ino, opname, creds, kwargs, where)
         finally:
             self._qos_depth -= 1
             qos.exit_op(tenant)
@@ -488,12 +504,13 @@ class ArkFSClient(LeaderOps, VFSClient):
 
     def _authority_op_core(self, dir_ino: int, opname: str,
                            creds: Optional[Credentials],
-                           **kwargs: Any) -> SimGen:
+                           kwargs: Dict[str, Any], where: bool) -> SimGen:
         """Run an op at the directory's authority; retries across leader
-        changes. Returns (result, leader_name_or_None_if_local, dir_ino
-        the op actually ran against — the hash-routed shard when the
-        directory is sharded, so a 2PC coordinator can address phase 2 to
-        the same participant its prepare landed on).
+        changes. Returns the op's result or, with ``where``, (result,
+        leader_name_or_None_if_local, dir_ino the op actually ran against
+        — the hash-routed shard when the directory is sharded, so a 2PC
+        coordinator can address phase 2 to the same participant its
+        prepare landed on).
 
         ``route_name`` (popped, never forwarded) routes ino-keyed ops on a
         sharded directory to the shard that owns the given name."""
@@ -509,20 +526,21 @@ class ArkFSClient(LeaderOps, VFSClient):
                 if kind == "sharded":
                     done = yield from self._route_sharded(who, opname, creds,
                                                           kwargs)
-                    if done is not None:
-                        return (*done, dir_ino)
-                    name = route_name or kwargs.get("name")
-                    dir_ino = who.route(name) if name is not None \
-                        else who.home_ino()
-                    continue
-                if kind == "local":
+                    if done is None:
+                        name = route_name or kwargs.get("name")
+                        dir_ino = who.route(name) if name is not None \
+                            else who.home_ino()
+                        continue
+                    result, who = done
+                elif kind == "local":
                     result = yield from self._run_op(opname, dict(
                         creds=creds, dir_ino=dir_ino, requester=self.name,
                         **kwargs))
-                    return result, None, dir_ino
-                result = yield from self._peer_call(
-                    who, opname, creds=creds, dir_ino=dir_ino, **kwargs)
-                return result, who, dir_ino
+                    who = None
+                else:
+                    result = yield from self._peer_call(
+                        who, opname, creds=creds, dir_ino=dir_ino, **kwargs)
+                return (result, who, dir_ino) if where else result
             except RedirectError as e:
                 self.metatables.pop(dir_ino, None)
                 if e.leader and e.leader != self.name:
@@ -746,8 +764,10 @@ class ArkFSClient(LeaderOps, VFSClient):
         return dentry
 
     def _walk_dirs(self, creds: Optional[Credentials], parts: list,
-                   depth: int = 0) -> SimGen:
-        """Resolve a component list to a directory ino, following symlinks."""
+                   last: Optional[str] = None) -> SimGen:
+        """Resolve a component list to a directory ino, following symlinks.
+        With ``last``, returns ``(ino, last)`` (see :meth:`_resolve_parent`)."""
+        depth = 0
         cur = ROOT_INO
         parts = list(parts)
         i = 0
@@ -770,7 +790,7 @@ class ArkFSClient(LeaderOps, VFSClient):
                 i = 0
                 continue
             raise NotADirectory(name)
-        return cur
+        return cur if last is None else (cur, last)
 
     def _expand_symlink(self, target: str, cur: int):
         """Split a symlink target; absolute targets restart at the root."""
@@ -784,26 +804,30 @@ class ArkFSClient(LeaderOps, VFSClient):
 
     def _resolve_parent(self, creds: Optional[Credentials],
                         path: str) -> SimGen:
+        """Walk to ``path``'s parent: the generator's value is
+        ``(parent_ino, final_name)``. A path without a parent raises here."""
         parts = pathmod.split_path(path)
         if not parts:
             raise InvalidArgument(path, "operation needs a parent directory")
-        parent = yield from self._walk_dirs(creds, parts[:-1])
-        return parent, parts[-1]
+        return self._walk_dirs(creds, parts[:-1], parts[-1])
 
     def _getattr_inode(self, creds: Optional[Credentials], path: str,
-                       follow: bool, depth: int = 0) -> SimGen:
-        """The full Inode of the path's final target (stat/lstat core)."""
+                       follow: bool, stat: bool = False) -> SimGen:
+        """The full Inode of the path's final target, or with ``stat`` its
+        StatResult (stat/lstat core)."""
         parts = pathmod.split_path(path)
         if not parts:
             d = yield from self._authority_op(ROOT_INO, "getattr_dir", creds)
-            return Inode.from_dict(d)
-        parent, name = yield from self._resolve_parent(creds, path)
+            return _inode_or_stat(d, stat)
+        parent = yield from self._walk_dirs(creds, parts[:-1])
+        name = parts[-1]
+        depth = 0
         for _hop in range(4):
             dentry = yield from self._lookup_component(creds, parent, name)
             if dentry.ftype is FileType.DIRECTORY:
                 d = yield from self._authority_op(dentry.ino, "getattr_dir",
                                                   creds)
-                return Inode.from_dict(d)
+                return _inode_or_stat(d, stat)
             if dentry.ftype is FileType.SYMLINK and follow:
                 if depth >= self.params.symlink_max_follow:
                     raise TooManySymlinks(path)
@@ -813,7 +837,7 @@ class ArkFSClient(LeaderOps, VFSClient):
                 if not tparts:
                     d = yield from self._authority_op(base, "getattr_dir",
                                                       creds)
-                    return Inode.from_dict(d)
+                    return _inode_or_stat(d, stat)
                 parent = yield from self._walk_dirs_from(creds, base,
                                                          tparts[:-1])
                 name = tparts[-1]
@@ -824,7 +848,7 @@ class ArkFSClient(LeaderOps, VFSClient):
             if isinstance(d, dict) and "redirect_dir" in d:
                 d = yield from self._authority_op(d["redirect_dir"],
                                                   "getattr_dir", creds)
-            return Inode.from_dict(d)
+            return _inode_or_stat(d, stat)
         raise TooManySymlinks(path)
 
     def _walk_dirs_from(self, creds, base: int, parts: list) -> SimGen:
@@ -968,12 +992,10 @@ class ArkFSClient(LeaderOps, VFSClient):
     # -------------------------------------------------------------- VFS: stat
 
     def stat(self, creds: Credentials, path: str) -> SimGen:
-        inode = yield from self._getattr_inode(creds, path, follow=True)
-        return inode.stat()
+        return self._getattr_inode(creds, path, follow=True, stat=True)
 
     def lstat(self, creds: Credentials, path: str) -> SimGen:
-        inode = yield from self._getattr_inode(creds, path, follow=False)
-        return inode.stat()
+        return self._getattr_inode(creds, path, follow=False, stat=True)
 
     def access(self, creds: Credentials, path: str, want: int) -> SimGen:
         inode = yield from self._getattr_inode(creds, path, follow=True)

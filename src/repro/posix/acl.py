@@ -229,6 +229,20 @@ def check_perm(
     creds: Credentials,
     want: int,
 ) -> bool:
-    """Access check for an inode: uses its ACL if extended, else mode bits."""
-    effective = acl if acl is not None else Acl.from_mode(mode)
-    return effective.check(creds, want, owner_uid=uid, owner_gid=gid)
+    """Access check for an inode: uses its ACL if it has one, else mode bits.
+
+    The mode-bit case is :meth:`Acl.check` on ``Acl.from_mode(mode)``,
+    computed from the three triplets directly: it runs on every path
+    component lookup."""
+    if acl is not None:
+        return acl.check(creds, want, owner_uid=uid, owner_gid=gid)
+    if creds.is_root:
+        # Root bypasses rw checks; needs at least one x bit for exec.
+        return not (want & X_OK) or bool(mode & 0o111)
+    if creds.uid == uid:
+        perm = mode >> 6
+    elif creds.in_group(gid):
+        perm = mode >> 3
+    else:
+        perm = mode
+    return (perm & 7 & want) == want

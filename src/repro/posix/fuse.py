@@ -24,7 +24,7 @@ FUSE ``entry_timeout``), shared by all processes using the mount.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..obs.trace import ROOT_CAT
 from ..sim.engine import SimGen
@@ -111,9 +111,10 @@ class _MountBase(VFSClient):
         return req
 
     def _globally_locked(self, gen: SimGen) -> SimGen:
-        """Run ``gen`` under the client-global mutex (ceph-fuse style)."""
-        if self._global_lock is None:
-            return (yield from gen)
+        """Run ``gen`` under the client-global mutex (ceph-fuse style).
+
+        Wrapped around an op only on mounts that have the mutex; elsewhere
+        the op runs unwrapped, without this frame."""
         req = yield from self._lock(self._global_lock)
         try:
             yield from self.node.work(self.params.global_lock_service)
@@ -129,10 +130,6 @@ class _MountBase(VFSClient):
         return lock
 
     # -- dentry cache -----------------------------------------------------------
-
-    def _dcache_valid(self, path: str) -> bool:
-        exp = self._dcache.get(path)
-        return exp is not None and exp > self.sim.now
 
     def _dcache_insert(self, path: str) -> None:
         self._dcache[path] = self.sim.now + self.params.entry_ttl
@@ -152,42 +149,38 @@ class _MountBase(VFSClient):
 
     # -- LOOKUP traffic ------------------------------------------------------------
 
-    def _lookup_component(self, creds: Credentials, parent: str,
-                          name: str) -> SimGen:
-        """One LOOKUP request: cost + (optionally locked) daemon-side resolve."""
-        yield from self._request()
-        hold_dir_lock = self.params.lookup_locked
-
-        def resolve() -> SimGen:
-            return (yield from self.inner.lookup(creds, parent, name))
-
-        if hold_dir_lock:
-            lock = self._dir_lock(parent)
-            req = yield from self._lock(lock)
-            try:
-                result = yield from self._globally_locked(resolve())
-            finally:
-                lock.release(req)
-        else:
-            result = yield from self._globally_locked(resolve())
-        return result
-
     def _walk(self, creds: Credentials, path: str,
               include_final: bool = True) -> SimGen:
-        """Issue LOOKUPs for every non-cached component of ``path``.
+        """Issue LOOKUPs for every non-cached component of ``path``: each is
+        one request (cost) plus the daemon-side resolve, under the parent's
+        directory lock when ``lookup_locked``.
 
         Returns the normalized path. Raises what the daemon raises (ENOENT,
         EACCES, ...) exactly as the kernel would surface it.
         """
         parts = pathmod.split_path(path)
         upto = len(parts) if include_final else len(parts) - 1
+        dcache = self._dcache
         cur = ""
         for i in range(upto):
-            parent = "/" + "/".join(parts[:i]) if i else "/"
-            cur = parent.rstrip("/") + "/" + parts[i]
-            if self._dcache_valid(cur):
-                continue
-            yield from self._lookup_component(creds, parent, parts[i])
+            parent = cur or "/"
+            cur = cur + "/" + parts[i]
+            exp = dcache.get(cur)
+            if exp is not None and exp > self.sim.now:
+                continue  # valid dentry: no LOOKUP
+            yield from self._request()
+            resolve = self.inner.lookup(creds, parent, parts[i])
+            if self._global_lock is not None:
+                resolve = self._globally_locked(resolve)
+            if self.params.lookup_locked:
+                lock = self._dir_lock(parent)
+                req = yield from self._lock(lock)
+                try:
+                    yield from resolve
+                finally:
+                    lock.release(req)
+            else:
+                yield from resolve
             self._dcache_insert(cur)
         return "/" + "/".join(parts)
 
@@ -195,76 +188,73 @@ class _MountBase(VFSClient):
 
     def _pathop(self, creds: Credentials, path: str, gen: SimGen,
                 lock_parent: bool = False, walk_final: bool = True,
-                tolerate_missing_final: bool = False) -> SimGen:
-        """LOOKUP walk + one request carrying the actual operation."""
+                tolerate_missing_final: bool = False,
+                then: Optional[Callable[[str], None]] = None) -> SimGen:
+        """LOOKUP walk + one request carrying the actual operation. After
+        the op succeeds, ``then`` (a dentry-cache update) gets the
+        normalized path."""
         try:
             yield from self._walk(creds, path, include_final=walk_final)
         except NotFound:
             if not tolerate_missing_final:
                 raise
         yield from self._request()
+        if self._global_lock is not None:
+            gen = self._globally_locked(gen)
         if lock_parent:
             parent, _name = pathmod.parent_and_name(path)
             lock = self._dir_lock(parent)
             req = yield from self._lock(lock)
             try:
-                return (yield from self._globally_locked(gen))
+                result = yield from gen
             finally:
                 lock.release(req)
-        return (yield from self._globally_locked(gen))
+        else:
+            result = yield from gen
+        if then is not None:
+            then(pathmod.normalize(path))
+        return result
 
     # -- VFS implementation ------------------------------------------------------------
+    #
+    # Ops that only forward return the inner generator (or _pathop's)
+    # instead of adding a frame of their own.
 
     def lookup(self, creds: Credentials, dir_path: str, name: str) -> SimGen:
-        return (yield from self.inner.lookup(creds, dir_path, name))
+        return self.inner.lookup(creds, dir_path, name)
 
     def mkdir(self, creds: Credentials, path: str, mode: int = 0o777) -> SimGen:
-        result = yield from self._pathop(
-            creds, path, self.inner.mkdir(creds, path, mode),
-            lock_parent=True, walk_final=False,
-        )
-        return result
+        return self._pathop(creds, path, self.inner.mkdir(creds, path, mode),
+                            lock_parent=True, walk_final=False)
 
     def rmdir(self, creds: Credentials, path: str) -> SimGen:
-        result = yield from self._pathop(
-            creds, path, self.inner.rmdir(creds, path), lock_parent=True,
-        )
-        self._dcache_drop(pathmod.normalize(path))
-        return result
+        return self._pathop(creds, path, self.inner.rmdir(creds, path),
+                            lock_parent=True, then=self._dcache_drop)
 
     def open(self, creds: Credentials, path: str, flags: OpenFlags,
              mode: int = 0o666) -> SimGen:
         creating = bool(flags & OpenFlags.O_CREAT)
-        handle = yield from self._pathop(
+        return self._pathop(
             creds, path, self.inner.open(creds, path, flags, mode),
             lock_parent=creating, tolerate_missing_final=creating,
-        )
-        if creating:
-            self._dcache_insert(pathmod.normalize(path))
-        return handle
+            then=self._dcache_insert if creating else None)
 
     def close(self, handle: FileHandle) -> SimGen:
         yield from self._request()
         return (yield from self.inner.close(handle))
 
     def unlink(self, creds: Credentials, path: str) -> SimGen:
-        result = yield from self._pathop(
-            creds, path, self.inner.unlink(creds, path), lock_parent=True,
-        )
-        self._dcache_drop(pathmod.normalize(path))
-        return result
+        return self._pathop(creds, path, self.inner.unlink(creds, path),
+                            lock_parent=True, then=self._dcache_drop)
 
     def stat(self, creds: Credentials, path: str) -> SimGen:
-        return (yield from self._pathop(creds, path,
-                                        self.inner.stat(creds, path)))
+        return self._pathop(creds, path, self.inner.stat(creds, path))
 
     def lstat(self, creds: Credentials, path: str) -> SimGen:
-        return (yield from self._pathop(creds, path,
-                                        self.inner.lstat(creds, path)))
+        return self._pathop(creds, path, self.inner.lstat(creds, path))
 
     def readdir(self, creds: Credentials, path: str) -> SimGen:
-        return (yield from self._pathop(creds, path,
-                                        self.inner.readdir(creds, path)))
+        return self._pathop(creds, path, self.inner.readdir(creds, path))
 
     def rename(self, creds: Credentials, src: str, dst: str) -> SimGen:
         yield from self._walk(creds, src)
@@ -273,8 +263,10 @@ class _MountBase(VFSClient):
         except NotFound:
             pass
         yield from self._request()
-        result = yield from self._globally_locked(
-            self.inner.rename(creds, src, dst))
+        op = self.inner.rename(creds, src, dst)
+        if self._global_lock is not None:
+            op = self._globally_locked(op)
+        result = yield from op
         self._dcache_drop(pathmod.normalize(src))
         self._dcache_drop(pathmod.normalize(dst))
         return result
@@ -312,47 +304,40 @@ class _MountBase(VFSClient):
         return (yield from self.inner.fsync(handle))
 
     def truncate(self, creds: Credentials, path: str, size: int) -> SimGen:
-        return (yield from self._pathop(
-            creds, path, self.inner.truncate(creds, path, size)))
+        return self._pathop(creds, path, self.inner.truncate(creds, path, size))
 
     def chmod(self, creds: Credentials, path: str, mode: int) -> SimGen:
-        return (yield from self._pathop(
-            creds, path, self.inner.chmod(creds, path, mode)))
+        return self._pathop(creds, path, self.inner.chmod(creds, path, mode))
 
     def chown(self, creds: Credentials, path: str, uid: int, gid: int) -> SimGen:
-        return (yield from self._pathop(
-            creds, path, self.inner.chown(creds, path, uid, gid)))
+        return self._pathop(creds, path,
+                            self.inner.chown(creds, path, uid, gid))
 
     def utimens(self, creds: Credentials, path: str, atime: float,
                 mtime: float) -> SimGen:
-        return (yield from self._pathop(
-            creds, path, self.inner.utimens(creds, path, atime, mtime)))
+        return self._pathop(creds, path,
+                            self.inner.utimens(creds, path, atime, mtime))
 
     def access(self, creds: Credentials, path: str, want: int) -> SimGen:
-        return (yield from self._pathop(
-            creds, path, self.inner.access(creds, path, want)))
+        return self._pathop(creds, path, self.inner.access(creds, path, want))
 
     def symlink(self, creds: Credentials, target: str, linkpath: str) -> SimGen:
-        return (yield from self._pathop(
-            creds, linkpath, self.inner.symlink(creds, target, linkpath),
-            lock_parent=True, walk_final=False,
-        ))
+        return self._pathop(creds, linkpath,
+                            self.inner.symlink(creds, target, linkpath),
+                            lock_parent=True, walk_final=False)
 
     def readlink(self, creds: Credentials, path: str) -> SimGen:
-        return (yield from self._pathop(
-            creds, path, self.inner.readlink(creds, path)))
+        return self._pathop(creds, path, self.inner.readlink(creds, path))
 
     def statfs(self, creds: Credentials) -> SimGen:
         yield from self._request()
         return (yield from self.inner.statfs(creds))
 
     def getfacl(self, creds: Credentials, path: str) -> SimGen:
-        return (yield from self._pathop(
-            creds, path, self.inner.getfacl(creds, path)))
+        return self._pathop(creds, path, self.inner.getfacl(creds, path))
 
     def setfacl(self, creds: Credentials, path: str, acl) -> SimGen:
-        return (yield from self._pathop(
-            creds, path, self.inner.setfacl(creds, path, acl)))
+        return self._pathop(creds, path, self.inner.setfacl(creds, path, acl))
 
 
 # Every public VFS op gets a root span ("vfs.<op>") so cross-layer latency

@@ -12,6 +12,7 @@ from abc import ABC, abstractmethod
 from typing import Any, List, Optional
 
 from ..sim.engine import SimGen, Simulator
+from .path import join
 from .types import Credentials, OpenFlags, StatResult
 
 __all__ = ["FileHandle", "VFSClient", "SyncFS", "SyncFile"]
@@ -137,9 +138,7 @@ class VFSClient(ABC):
         stat. Default implementation is an lstat of the joined path, which
         per the paper means a full path traversal per LOOKUP; file systems
         with cheaper single-component resolution override this."""
-        from .path import join
-
-        return (yield from self.lstat(creds, join(dir_path, name)))
+        return self.lstat(creds, join(dir_path, name))
 
     # -- conveniences built on the primitives -------------------------------------
 

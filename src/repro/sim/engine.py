@@ -71,6 +71,11 @@ __all__ = [
 # A simulated operation: a generator that yields Events and returns a value.
 SimGen = Generator["Event", Any, Any]
 
+# What a flat hot-path helper returns: its inner SimGen, or ``()`` when it
+# has nothing to wait for. Consume it with ``yield from`` only, never pass
+# it to ``Simulator.process`` (DESIGN.md §10, "Flat hot path").
+SimIter = Iterable["Event"]
+
 #: Default scheduler for new Simulators. ``REPRO_SIM_KERNEL=heap`` forces
 #: the reference single-heap scheduler everywhere (bit-identity pins and
 #: the perf gate use it as the comparison baseline).
@@ -191,9 +196,14 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
-        super().__init__(sim)
-        self.delay = delay
+        # Event.__init__ inlined: a timeout is created on most timed waits.
+        self.sim = sim
+        self.callbacks = []
+        self._value = Event._PENDING
+        self._ok = None
+        self._scheduled = False
         self._auto_value = value
+        self.delay = delay
         sim._schedule(self, delay)
 
 
@@ -296,15 +306,22 @@ class Process(Event):
             self._waiting_on = None
             self._step(None, throw=False)
 
-    def _resume(self, event: Event) -> None:
-        if self._value is not Event._PENDING or self._waiting_on is not event:
-            # Process finished, or was interrupted away from this event and is
-            # now waiting on something else: this wake-up is stale.
-            return
-        self._waiting_on = None
-        self._step(event._value, throw=not event._ok)
+    def _step(self, value: Any, throw: Optional[bool] = None) -> None:
+        """Send ``value`` into (or, with ``throw``, raise it in) the
+        generator and run it to its next wait.
 
-    def _step(self, value: Any, throw: bool) -> None:
+        Registered as the callback of the event the process waits on, it
+        is called with just that event and resumes the generator with the
+        event's outcome — one call per resume."""
+        if throw is None:
+            if self._value is not Event._PENDING or self._waiting_on is not value:
+                # Process finished, or was interrupted away from this event
+                # and is now waiting on something else: this wake-up is
+                # stale.
+                return
+            self._waiting_on = None
+            throw = not value._ok
+            value = value._value
         sim = self.sim
         gen = self._gen
         prev_active = sim._active_proc
@@ -384,13 +401,13 @@ class Process(Event):
                     # Already processed (e.g. a pooled event consumed by an
                     # earlier waiter): continue with its settled value, the
                     # non-recursive equivalent of add_callback's immediate
-                    # dispatch to _resume.
+                    # dispatch to a waiter.
                     value = target._value
                     throw = not target._ok
                     continue
                 self._waiting_on = target
                 self._wait_epoch += 1
-                cbs.append(self._resume)
+                cbs.append(self._step)
                 return
         finally:
             sim._active_proc = prev_active
@@ -563,10 +580,16 @@ class Simulator:
             t = pool.pop()
             t._value = Event._PENDING
             t._ok = None
-            t._scheduled = False
             t.callbacks = []
             t.delay = delay
-            self._schedule(t, delay)
+            # _schedule inlined; the pool only fills on the fast kernel.
+            t._scheduled = True
+            at = self.now + delay
+            if at == self.now:
+                self._ready.append(t)
+            else:
+                self._seq += 1
+                heapq.heappush(self._heap, (at, self._seq, t))
             return t
         return Timeout(self, delay)
 
@@ -670,6 +693,43 @@ class Simulator:
         if until is not None:
             self.now = until
 
+    def run_until(self, event: Event) -> None:
+        """Process events until ``event`` has triggered.
+
+        The :meth:`run` loop with a stop condition checked before every
+        event, so it stops exactly where ``while not event.triggered:
+        step()`` would, without two extra calls per event. Raises
+        :class:`SimulationError` naming the still-pending processes if the
+        queues drain first."""
+        ready = self._ready
+        heap = self._heap
+        pop = heapq.heappop
+        PENDING = Event._PENDING
+        n = 0
+        try:
+            while event._value is PENDING:
+                if ready and not (heap and heap[0][0] <= self.now):
+                    ev = ready.popleft()
+                elif heap:
+                    t, _seq, ev = pop(heap)
+                    self.now = t
+                else:
+                    raise SimulationError(
+                        "deadlocked: no more events; still pending: "
+                        + ", ".join(_pending_names(event)))
+                n += 1
+                if ev._value is PENDING:
+                    ev._ok = True
+                    ev._value = ev._auto_value
+                callbacks = ev.callbacks
+                ev.callbacks = None
+                if len(callbacks) == 1:
+                    callbacks[0](ev)
+                elif callbacks:
+                    self._run_multi(ev, callbacks)
+        finally:
+            self._n_steps += n
+
     def run_process(self, gen: SimGen, name: str = "") -> Any:
         """Convenience: run ``gen`` to completion and return its value.
 
@@ -677,15 +737,15 @@ class Simulator:
         events continue to be processed as needed.
         """
         proc = self.process(gen, name=name)
-        ready = self._ready
-        heap = self._heap
-        PENDING = Event._PENDING
-        while proc._value is PENDING and (ready or heap):
-            self.step()
-        if proc._value is PENDING:
-            raise SimulationError(
-                f"process {proc.name!r} deadlocked: no more events"
-            )
+        self.run_until(proc)
         if not proc._ok:
             raise proc._value
         return proc._value
+
+
+def _pending_names(event: Event) -> list:
+    """Names of the processes ``event`` still waits on, for deadlock errors."""
+    waits = event.events if isinstance(event, _Condition) else [event]
+    names = [repr(ev.name) for ev in waits
+             if isinstance(ev, Process) and ev._value is Event._PENDING]
+    return names or [repr(event)]

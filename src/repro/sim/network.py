@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
-from .engine import SimGen, Simulator
+from .engine import SimGen, SimIter, Simulator
 from .resources import BandwidthPipe, Resource
 
 __all__ = ["NetParams", "Node", "Network", "RpcError", "NodeDown",
@@ -73,10 +73,12 @@ class Node:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.name} alive={self.alive}>"
 
-    def work(self, seconds: float) -> SimGen:
-        """Consume this node's CPU for ``seconds`` (queueing if contended)."""
+    def work(self, seconds: float) -> SimIter:
+        """Consume this node's CPU for ``seconds`` (queueing if contended).
+        A flat helper: ``()`` when there is no work."""
         if seconds > 0:
-            yield from self.cpu.use(seconds)
+            return self.cpu.use(seconds)
+        return ()
 
     def register(self, method: str, handler: Callable[..., SimGen]) -> None:
         """Register an RPC handler: a generator function ``handler(*args)``."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Generator, Optional
 
-from .engine import Event, SimGen, Simulator, SimulationError
+from .engine import Event, SimGen, SimIter, Simulator, SimulationError
 
 __all__ = ["Request", "Resource", "Mutex", "Store", "BandwidthPipe", "serve"]
 
@@ -110,7 +110,10 @@ class Resource:
         else:
             req = Request(self)
         if self._in_use < self.capacity:
-            self._grant(req)
+            # _grant inlined: this runs on every non-elided use().
+            self._in_use += 1
+            req.granted = True
+            req.succeed(req)
         else:
             self._queue.append(req)
         return req
@@ -144,21 +147,28 @@ class Resource:
         req.granted = True
         req.succeed(req)
 
-    def use(self, hold_time: float) -> SimGen:
-        """Generator helper: acquire, hold for ``hold_time``, release.
+    def use(self, hold_time: float) -> SimIter:
+        """Acquire, hold for ``hold_time``, release.
 
-        With tracing on, a contended acquisition gets a queue-wait span and
-        the hold gets a span in the resource's attribution category; the
-        yielded event sequence is identical either way."""
+        A flat helper (see :data:`~repro.sim.engine.SimIter`): the
+        uncontended zero-hold case returns ``()`` without a frame, anything
+        else the :meth:`_use` generator. With tracing on, a contended
+        acquisition gets a queue-wait span and the hold gets a span in the
+        resource's attribution category; the yielded event sequence is
+        identical either way."""
         sim = self.sim
-        tr = sim._tracer
-        if (tr is None and hold_time == 0.0 and self._in_use < self.capacity
-                and sim._inline_ok()):
+        if (hold_time == 0.0 and sim._tracer is None
+                and self._in_use < self.capacity and sim._inline_ok()):
             # Uncontended zero-hold acquisition with nothing else runnable
             # right now: the reference kernel would grant, immediately
             # process the grant event, and release without any intervening
             # action — elide the Event round-trip entirely.
-            return
+            return ()
+        return self._use(hold_time)
+
+    def _use(self, hold_time: float) -> SimGen:
+        sim = self.sim
+        tr = sim._tracer
         req = self._request_pooled()
         if tr is not None and not req.granted:
             with tr.span(self._wait_name, "queue"):
@@ -252,46 +262,26 @@ class BandwidthPipe:
             self._res.span_cat = "media"
         self.bytes_moved = 0
 
-    def try_instant(self, nbytes: int) -> bool:
-        """Non-generator fast path: account ``nbytes`` and return True iff
-        the transfer would be elided entirely (zero serialization time,
-        idle lane, nothing else runnable). Callers fall back to
-        :meth:`transfer` on False. Saves the generator frame that
-        :meth:`transfer`'s own short-circuit would still pay."""
-        res = self._res
-        sim = self.sim
-        if (nbytes >= 0 and res._in_use < res.capacity
-                and nbytes * res.capacity / self.bytes_per_sec == 0.0
-                and sim._tracer is None and sim._inline_ok()):
-            self.bytes_moved += nbytes
-            return True
-        return False
-
-    def transfer(self, nbytes: int) -> SimGen:
-        """Generator: move ``nbytes`` through the pipe, modelling queueing."""
+    def transfer(self, nbytes: int) -> SimIter:
+        """Move ``nbytes`` through the pipe, modelling queueing. A flat
+        helper returning :meth:`Resource.use`'s iterable, whose zero-hold
+        elision covers the zero-serialization hop through an idle pipe."""
         if nbytes < 0:
             raise SimulationError("cannot transfer negative bytes")
         self.bytes_moved += nbytes
         res = self._res
         # Each lane serves at the per-lane share of the aggregate rate.
-        duration = nbytes * res.capacity / self.bytes_per_sec
-        sim = self.sim
-        if (duration == 0.0 and res._in_use < res.capacity
-                and sim._tracer is None and sim._inline_ok()):
-            # Zero-serialization hop through an idle pipe: same elision as
-            # the zero-hold Resource.use fast path, minus a generator frame.
-            return
-        yield from res.use(duration)
+        return res.use(nbytes * res.capacity / self.bytes_per_sec)
 
     @property
     def queue_length(self) -> int:
         return self._res.queue_length
 
 
-def serve(resource: Resource, service_time: float) -> SimGen:
+def serve(resource: Resource, service_time: float) -> SimIter:
     """Acquire ``resource``, hold it for ``service_time``, release.
 
     The canonical "CPU does work" pattern: queueing delay emerges when the
-    resource is contended.
+    resource is contended. Returns :meth:`Resource.use`'s iterable.
     """
-    yield from resource.use(service_time)
+    return resource.use(service_time)

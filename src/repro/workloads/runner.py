@@ -23,8 +23,7 @@ def run_phase(sim: Simulator, procs: Sequence) -> None:
     processes — journal threads, lease keepers, MDS rebalancers — keep the
     event heap non-empty forever, so a bare ``run()`` is not usable)."""
     done = sim.all_of(list(procs))
-    while not done.triggered:
-        sim.step()
+    sim.run_until(done)
     if not done.ok:
         raise done.value
 

@@ -182,6 +182,20 @@ def test_check_perm_helper_uses_mode_when_no_acl():
     assert not check_perm(None, 0o600, 100, 100, STRANGER, R_OK)
 
 
+def test_check_perm_mode_bits_match_minimal_acl_exhaustively():
+    """The mode-bit fast path of ``check_perm`` (no ACL) decides exactly
+    what the full acl(5) algorithm decides on ``Acl.from_mode(mode)``."""
+    supplementary = Credentials(uid=102, gid=300, groups=(301, 100))
+    who = [ROOT, OWNER, GROUPMATE, supplementary, STRANGER]
+    for mode in range(0o1000):
+        acl = Acl.from_mode(mode)
+        for creds in who:
+            for want in range(8):
+                assert check_perm(None, mode, 100, 100, creds, want) == \
+                    acl.check(creds, want, owner_uid=100, owner_gid=100), \
+                    (oct(mode), creds, want)
+
+
 def test_perm_str():
     assert perm_str(7) == "rwx"
     assert perm_str(5) == "r-x"

@@ -6,7 +6,9 @@ from repro.sim import (
     Interrupt,
     SimulationError,
     Simulator,
+    kernel_counters,
 )
+from repro.workloads import run_phase
 
 
 def test_timeout_advances_clock():
@@ -303,6 +305,65 @@ def test_run_process_detects_deadlock():
 
     with pytest.raises(SimulationError, match="deadlock"):
         sim.run_process(stuck(sim))
+
+
+def _stuck_and_quick(sim):
+    def stuck(sim):
+        yield sim.event()  # nobody will ever trigger this
+
+    def quick(sim):
+        yield sim.timeout(1)
+
+    return [sim.process(stuck(sim), name="stuck-a"),
+            sim.process(quick(sim), name="quick"),
+            sim.process(stuck(sim), name="stuck-b")]
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_run_until_drained_queues_name_pending_processes(fast):
+    sim = Simulator(fast=fast)
+    done = sim.all_of(_stuck_and_quick(sim))
+    with pytest.raises(SimulationError, match="stuck-a.*stuck-b") as err:
+        sim.run_until(done)
+    assert "quick" not in str(err.value)
+    assert sim.now == 1
+
+
+def test_run_phase_drained_queues_raise_simulation_error():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="deadlock.*stuck-a"):
+        run_phase(sim, _stuck_and_quick(sim))
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_run_until_stops_where_a_step_loop_would(fast):
+    """``run_until`` is the step loop inlined: same stop point, same events,
+    with a background process that keeps the queues non-empty forever."""
+
+    def build(sim):
+        def ticker(sim):
+            while True:
+                yield sim.timeout(0.25)
+
+        def work(sim, n):
+            for _ in range(n):
+                yield sim.timeout(1)
+                yield sim.timeout(0)
+
+        sim.process(ticker(sim))
+        return sim.all_of([sim.process(work(sim, 3)),
+                           sim.process(work(sim, 2))])
+
+    a = Simulator(fast=fast)
+    done = build(a)
+    a.run_until(done)
+    b = Simulator(fast=fast)
+    done_b = build(b)
+    while not done_b.triggered:
+        b.step()
+    assert done.ok and a.now == b.now == 3
+    assert kernel_counters(a) == kernel_counters(b)
+    assert len(a._ready) == len(b._ready) and len(a._heap) == len(b._heap)
 
 
 def test_nested_yield_from_composition():
