@@ -27,19 +27,40 @@ from .retry import RetryPolicy
 
 __all__ = ["CacheEntry", "ReadAheadState", "DataObjectCache"]
 
+#: An append list this long turns into a private ``bytearray``: a stream
+#: of tiny appends (a log line at a time) must not keep one object each.
+_MAX_PIECES = 64
+
 
 class CacheEntry:
     """One cached data object (at most ``entry_size`` bytes).
 
-    ``data`` is one of two things, and ``size`` the count of valid bytes:
+    ``data`` holds the entry's bytes in one of three states, and ``size``
+    counts the valid ones:
 
-    - an immutable ``bytes`` object: the one the object store returned on
-      a fetch or holds after a writeback, or ``b""`` for a blank entry
-      (``size == len(data)``). Cache and store share this one copy, and a
-      ``read`` covering the whole entry returns it as-is;
-    - a private ``bytearray`` the cache owns. ``write`` copies a shared
-      entry into one before its first mutation (copy-on-write), so the
-      store's object and any earlier ``read`` result never change.
+    - an immutable ``bytes`` object (``size == len(data)``): the one the
+      object store returned on a fetch or holds after a writeback, ``b""``
+      for a blank entry, or the join a ``read`` made of an append list.
+      Cache and store share this one copy, and a ``read`` covering the
+      whole entry returns it as-is;
+    - a ``list`` of immutable ``bytes`` pieces (``size`` is the sum of
+      their lengths): an entry that has only been appended to since it
+      was last shared. A write at or past ``size`` appends its piece (a
+      gap first gets one zero piece) and a shared ``bytes`` becomes the
+      list's first element, so nothing is copied until ``_writeback``
+      joins the list once, or hands a one-piece list's piece to the store
+      as-is. A piece that is not ``bytes`` is frozen with ``bytes()``: the
+      caller may mutate its buffer later. A list that reaches
+      ``_MAX_PIECES`` turns into a private buffer, so a stream of tiny
+      appends does not hold one object per write;
+    - a private ``bytearray`` the cache owns, made by the first write
+      below ``size`` (copy-on-write of a shared entry, one join of a
+      list). The store's object and any earlier ``read`` result therefore
+      never change.
+
+    A written byte on the append path is copied once, by the join at
+    writeback; a private buffer copied it three times (a zero-fill as the
+    buffer grew, a slice assignment into it, a ``bytes()`` snapshot).
 
     A private buffer is a capacity buffer: growing a multi-megabyte
     bytearray 128 KiB at a time forces a realloc+copy on nearly every
@@ -47,8 +68,9 @@ class CacheEntry:
     succeeds with interleaved writers), so the buffer instead grows
     geometrically and writes land as equal-length slice assignments. Bytes
     past ``size`` are never observable — reads and writebacks clip at
-    ``size`` and extension gaps are re-zeroed. A writeback swaps the buffer
-    for its snapshot, the bytes it hands the store, freeing the capacity."""
+    ``size`` and extension gaps are re-zeroed. A writeback swaps the list
+    or buffer for its snapshot, the ``bytes`` it hands the store, which
+    frees the capacity."""
 
     __slots__ = ("index", "data", "size", "dirty", "loading", "backed")
 
@@ -60,10 +82,6 @@ class CacheEntry:
         self.loading: Optional[Event] = None  # set while a fetch is in flight
         self.backed = False  # a plain ``d`` object exists for this chunk
                              # (the pack layer must purge it after a seal)
-
-    @property
-    def ready(self) -> bool:
-        return self.loading is None
 
 
 @dataclass
@@ -189,12 +207,14 @@ class DataObjectCache:
             victim_key = None
             dirty_batch = []
             for key, entry in self._lru.items():
-                if not entry.ready:
+                if entry.loading is not None:
                     continue
                 if victim_key is None:
                     victim_key = key
-                if entry.dirty and len(dirty_batch) < self.writeback_parallel:
+                if entry.dirty:
                     dirty_batch.append((key[0], entry))
+                    if len(dirty_batch) == self.writeback_parallel:
+                        break  # the victim precedes every batch member
             if victim_key is None:
                 # Everything is mid-fetch; wait for one fetch to land.
                 first = next(iter(self._lru.values()))
@@ -224,10 +244,17 @@ class DataObjectCache:
         # Clear the flag before the PUT: a write landing mid-flush re-dirties
         # the entry rather than getting silently marked clean.
         entry.dirty = False
-        snapshot = bytes(memoryview(entry.data)[:entry.size])
-        # The entry holds the snapshot from here on, which frees the private
-        # buffer; after the PUT the store holds the same object. A write
-        # landing mid-flush copies it first, so the PUT's bytes never move.
+        d = entry.data
+        if type(d) is bytes:
+            snapshot = d
+        elif type(d) is list:
+            snapshot = d[0] if len(d) == 1 else b"".join(d)
+        else:
+            snapshot = bytes(memoryview(d)[:entry.size])
+        # The entry holds the snapshot from here on, which frees the list or
+        # private buffer; after the PUT the store holds the same object. A
+        # write landing mid-flush appends to it or copies it, so the PUT's
+        # bytes never move.
         entry.data = snapshot
         if self._pack is not None and self._pack.wants(len(snapshot)):
             # Sub-threshold chunk: append into the open container buffer
@@ -452,6 +479,9 @@ class DataObjectCache:
                     self._c_hits.inc()
                 self._touch(ino, entry)
                 d = entry.data
+                if type(d) is list:
+                    # Join an append list once; the entry keeps the result.
+                    d = entry.data = b"".join(d)
                 end = min(entry.size, off + n)
                 if end > off:
                     # Slicing shared bytes copies once, or not at all when
@@ -498,24 +528,41 @@ class DataObjectCache:
                     fetch=not covers_existing and entry_base < old_size
                 )
                 d = entry.data
-                if type(d) is bytes:
-                    # Copy-on-write: the store and earlier readers keep
-                    # the shared bytes; the cache mutates only its own.
-                    d = entry.data = bytearray(d)
                 end = off + n
-                if len(d) < end:
-                    # Grow capacity geometrically (clipped to the entry's
-                    # natural size) so a sequential fill costs O(1) reallocs
-                    # amortized instead of one realloc+copy per write.
-                    cap = min(max(end, 2 * len(d)), max(end, self.entry_size))
-                    d += bytes(cap - len(d))
-                if entry.size < off:
-                    # Zero any stale capacity bytes in the gap so they can't
-                    # leak into reads once ``size`` moves past them.
-                    d[entry.size:off] = bytes(off - entry.size)
-                d[off:end] = piece
-                if entry.size < end:
+                if off >= entry.size and (
+                        type(d) is bytes
+                        or type(d) is list and len(d) < _MAX_PIECES):
+                    # Append: keep the piece itself and join at writeback.
+                    if type(piece) is not bytes:
+                        piece = bytes(piece)  # the caller may mutate it
+                    if type(d) is bytes:
+                        d = entry.data = [d] if d else []
+                    if entry.size < off:
+                        d.append(bytes(off - entry.size))
+                    d.append(piece)
                     entry.size = end
+                else:
+                    if type(d) is not bytearray:
+                        # Copy-on-write: the store and earlier readers keep
+                        # the shared bytes; the cache mutates only its own.
+                        d = entry.data = (bytearray().join(d)
+                                          if type(d) is list
+                                          else bytearray(d))
+                    if len(d) < end:
+                        # Grow capacity geometrically (clipped to the
+                        # entry's natural size) so a sequential fill costs
+                        # O(1) reallocs amortized instead of one
+                        # realloc+copy per write.
+                        cap = min(max(end, 2 * len(d)),
+                                  max(end, self.entry_size))
+                        d += bytes(cap - len(d))
+                    if entry.size < off:
+                        # Zero any stale capacity bytes in the gap so they
+                        # can't leak into reads once ``size`` moves past.
+                        d[entry.size:off] = bytes(off - entry.size)
+                    d[off:end] = piece
+                    if entry.size < end:
+                        entry.size = end
                 entry.dirty = True
             yield from self._copy_cost(len(data))
         finally:

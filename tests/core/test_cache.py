@@ -1,8 +1,12 @@
 """Data object cache: write-back, read-ahead window policy, eviction."""
 
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import PRT, DataObjectCache, ReadAheadState
+from repro.core.cache import _MAX_PIECES
 from repro.objectstore import InMemoryObjectStore
 from repro.sim import Simulator
 
@@ -116,10 +120,13 @@ class TestCopyOnWrite:
 
     def test_writeback_shares_the_stored_object(self, env):
         sim, store, prt, cache = env
-        run(sim, cache.write(1, 0, b"dirty data", old_size=0))
-        assert isinstance(_entry(cache, 1, 0).data, bytearray)
+        key = prt.key_data(1, 0)
+        store.sync_put(key, b"clean data")
+        run(sim, cache.read(1, 0, 10))
+        run(sim, cache.write(1, 10, b"dirty data", old_size=10))
+        assert _entry(cache, 1, 0).data is not store.sync_get(key)
         run(sim, cache.flush(1))
-        assert _entry(cache, 1, 0).data is store.sync_get(prt.key_data(1, 0))
+        assert _entry(cache, 1, 0).data is store.sync_get(key)
 
     def test_write_leaves_store_and_earlier_reads_unchanged(self, env):
         sim, store, prt, cache = env
@@ -167,6 +174,156 @@ class TestCopyOnWrite:
         assert run(sim, cache.read(1, 0, 13)) == b"abc" + bytes(7) + b"xyz"
         run(sim, cache.flush(1))
         assert store.sync_get(prt.key_data(1, 0)) == b"abc" + bytes(7) + b"xyz"
+
+
+class TestAppendList:
+    def test_append_to_fetched_entry_leaves_store_and_reads_unchanged(
+            self, env):
+        sim, store, prt, cache = env
+        key = prt.key_data(1, 0)
+        store.sync_put(key, b"A" * 16)
+        stored = store.sync_get(key)
+        whole = run(sim, cache.read(1, 0, 16))
+        part = run(sim, cache.read(1, 4, 4))
+        run(sim, cache.write(1, 16, b"BBBB", old_size=16))
+        run(sim, cache.write(1, 24, b"CC", old_size=20))
+        assert stored == b"A" * 16
+        assert store.sync_get(key) is stored
+        assert whole == b"A" * 16 and part == b"AAAA"
+        assert run(sim, cache.read(1, 12, 14)) == (
+            b"AAAABBBB" + bytes(4) + b"CC")
+        run(sim, cache.flush(1))
+        assert stored == b"A" * 16 and whole == b"A" * 16
+        assert store.sync_get(key) == b"A" * 16 + b"BBBB" + bytes(4) + b"CC"
+
+    def test_one_piece_writeback_stores_the_callers_bytes(self, env):
+        sim, store, prt, cache = env
+        data = bytes(range(ESZ))
+        run(sim, cache.write(1, 0, data, old_size=0))
+        run(sim, cache.flush(1))
+        assert store.sync_get(prt.key_data(1, 0)) is data
+
+    @pytest.mark.parametrize("kind", [bytearray, memoryview])
+    def test_mutable_caller_buffer_is_frozen(self, env, kind):
+        sim, store, prt, cache = env
+        buf = bytearray(b"frozen bytes")
+        data = buf if kind is bytearray else memoryview(buf)
+        run(sim, cache.write(1, 0, data, old_size=0))
+        run(sim, cache.write(1, 12, data[:6], old_size=12))
+        buf[:] = b"X" * len(buf)
+        assert run(sim, cache.read(1, 0, 18)) == b"frozen bytesfrozen"
+        buf[:] = b"Y" * len(buf)
+        run(sim, cache.flush(1))
+        buf[:] = b"Z" * len(buf)
+        assert store.sync_get(prt.key_data(1, 0)) == b"frozen bytesfrozen"
+        assert run(sim, cache.read(1, 0, 18)) == b"frozen bytesfrozen"
+
+    def test_tiny_appends_past_the_piece_bound_read_back(self, env):
+        sim, store, prt, cache = env
+        n = _MAX_PIECES + 10
+        assert n <= ESZ
+        for i in range(n):
+            run(sim, cache.write(1, i, bytes([i]), old_size=i))
+        data = _entry(cache, 1, 0).data
+        assert type(data) is not list or len(data) <= _MAX_PIECES
+        assert run(sim, cache.read(1, 0, n)) == bytes(range(n))
+        run(sim, cache.flush(1))
+        assert store.sync_get(prt.key_data(1, 0)) == bytes(range(n))
+
+
+def test_append_path_allocates_only_the_writeback_copy():
+    """Four entries' worth of 128 KiB writes of one immutable block: the
+    cache keeps references until the flush, which copies each byte once.
+    A private-buffer cache allocates every written byte before the flush
+    and peaks one entry above them during it."""
+    esz, block = 2 << 20, 128 << 10
+    sim = Simulator()
+    store = InMemoryObjectStore(sim)
+    prt = PRT(store, data_object_size=esz)
+    cache = DataObjectCache(sim, prt, node=None, entry_size=esz,
+                            capacity_bytes=8 * esz, max_readahead=4 * esz)
+    data = bytes(range(256)) * (block // 256)
+    written = 4 * esz
+    tracemalloc.start()
+    try:
+        for pos in range(0, written, block):
+            run(sim, cache.write(1, pos, data, old_size=pos))
+        before_flush, _ = tracemalloc.get_traced_memory()
+        run(sim, cache.flush(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert before_flush < esz // 16, before_flush
+    assert peak <= written + esz // 2, (peak, written)
+    assert store.sync_get(prt.key_data(1, 3)) == data * (esz // block)
+
+
+# -- differential property test ------------------------------------------------
+
+_PESZ = 64  # entry size of the property test; the cache holds 3 entries
+
+
+def _cache_op():
+    payload = st.tuples(st.binary(min_size=1, max_size=150),
+                        st.sampled_from([bytes, bytearray, memoryview]))
+    return st.one_of(
+        # ("write", ino, offset relative to EOF, payload): negative
+        # offsets overwrite, zero appends, positive ones leave a gap.
+        st.tuples(st.just("write"), st.integers(1, 2),
+                  st.integers(-200, 80), payload),
+        st.tuples(st.just("read"), st.integers(1, 2),
+                  st.integers(0, 300), st.integers(1, 200)),
+        st.tuples(st.just("flush"), st.integers(1, 2)),
+        st.tuples(st.just("invalidate"), st.integers(1, 2)),
+        st.tuples(st.just("drop_all"),),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(ops=st.lists(_cache_op(), max_size=40))
+def test_cache_matches_a_reference_file(ops):
+    """Every read, and the objects left in the store, match a per-file
+    reference ``bytearray`` under any mix of appends, gaps, overwrites,
+    spanning writes, flushes, invalidations and evictions."""
+    sim = Simulator()
+    store = InMemoryObjectStore(sim)
+    prt = PRT(store, data_object_size=_PESZ)
+    cache = DataObjectCache(sim, prt, node=None, entry_size=_PESZ,
+                            capacity_bytes=3 * _PESZ,
+                            max_readahead=2 * _PESZ)
+    ref = {1: bytearray(), 2: bytearray()}
+    for op in ops:
+        if op[0] == "write":
+            _, ino, rel, (raw, kind) = op
+            f = ref[ino]
+            off = max(0, len(f) + rel)
+            buf = bytearray(raw)
+            data = raw if kind is bytes else kind(buf)
+            run(sim, cache.write(ino, off, data, old_size=len(f)))
+            buf[:] = bytes(len(buf))  # the cache must not see this
+            if len(f) < off:
+                f.extend(bytes(off - len(f)))
+            f[off:off + len(raw)] = raw
+        elif op[0] == "read":
+            _, ino, off, n = op
+            f = ref[ino]
+            n = min(n, len(f) - off)
+            if n > 0:
+                assert run(sim, cache.read(ino, off, n)) == f[off:off + n]
+        elif op[0] == "flush":
+            run(sim, cache.flush(op[1]))
+        elif op[0] == "invalidate":
+            run(sim, cache.invalidate(op[1]))
+        else:
+            run(sim, cache.drop_all())
+    run(sim, cache.drop_all())
+    for ino, f in ref.items():
+        for idx in range(-(-len(f) // _PESZ)):
+            chunk = bytes(f[idx * _PESZ:(idx + 1) * _PESZ])
+            key = prt.key_data(ino, idx)
+            stored = store.sync_get(key) if key in store else b""
+            assert len(stored) <= len(chunk)
+            assert stored + bytes(len(chunk) - len(stored)) == chunk
 
 
 class TestReadAheadPolicy:

@@ -73,7 +73,7 @@ def test_full_rename_sweep_every_store_op():
 @pytest.mark.skipif(not SLOW, reason="exhaustive sweep; set REPRO_SLOW=1")
 @pytest.mark.parametrize("name", ["mkdir", "checkpoint", "pack",
                                   "shard_split", "epoch_handoff",
-                                  "tier_drain"])
+                                  "tier_drain", "qos_backlog"])
 def test_full_sweep_other_workloads(name):
     report = sweep(name, stride=1)
     assert report.ok, report.summary()
